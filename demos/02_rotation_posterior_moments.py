@@ -6,7 +6,7 @@
 # ideal denoiser target is E[R] applied to x.  Two independent routes
 # compute E[R] here:
 #
-# 1. adaptive quadrature over SO(3) (the ground truth), and
+# 1. a 1-D Bessel-function integral in the SVD frame (the ground truth), and
 # 2. the closed-form expansion around the alignment rotation, whose
 #    order-0 truncation *is* Kabsch alignment.
 #

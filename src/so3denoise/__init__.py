@@ -74,7 +74,6 @@ from .quadrature import (
     mf_partition,
     oracle_conditional_denoiser,
     so3_grid_global,
-    so3_grid_mode_centered,
 )
 from .trajectory import (
     Trajectory,

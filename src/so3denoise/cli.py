@@ -2,9 +2,7 @@
 
 Subcommands: align, moment, sweep, train, sample, selftest.  Scalar and
 matrix results print as JSON on stdout; tabular series go to CSV files.
-Every randomized subcommand is reproducible from its --seed alone.  The
-environment variable SO3_DENOISE_THREADS caps sweep worker threads
-(0 = auto, unset = serial).
+Every randomized subcommand is reproducible from its --seed alone.
 """
 
 from __future__ import annotations

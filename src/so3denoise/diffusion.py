@@ -10,6 +10,7 @@ that produces non-finite losses or parameters terminates with a
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
@@ -327,8 +328,6 @@ METRICS_CSV_HEADER = ["step", "loss", "rmsd", "aligned_rmsd", "n_excluded"]
 
 
 def write_metrics_csv(metrics: list[StepMetrics], path) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(METRICS_CSV_HEADER)
@@ -338,8 +337,6 @@ def write_metrics_csv(metrics: list[StepMetrics], path) -> None:
 
 
 def read_metrics_csv(path) -> list[StepMetrics]:
-    import csv
-
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)

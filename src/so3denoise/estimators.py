@@ -16,9 +16,7 @@ against the oracle across noise levels, reproducibly from a seed.
 from __future__ import annotations
 
 import csv
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,7 +25,7 @@ import numpy as np
 from .align import kabsch
 from .fisher import ExpansionSingularError, mf_from_observation, mf_mean_laplace
 from .geom import center, frobenius_norm_sq, rotate, sample_haar
-from .quadrature import NoConvergenceError, _mf_expect, oracle_conditional_denoiser
+from .quadrature import NoConvergenceError, mf_mean_quadrature, oracle_conditional_denoiser
 
 SWEEP_CSV_HEADER = ["sigma", "kind", "mean_mse", "stderr", "n_samples", "n_excluded", "seed"]
 
@@ -117,21 +115,10 @@ _SWEEP_KINDS = (
 )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SO3_DENOISE_THREADS", "").strip()
-    if not raw:
-        return 1
-    n = int(raw)
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
 def _sweep_sample(x, sigma, seed, sigma_idx, sample_idx, tol):
     """One sweep draw: per-kind MSE to the oracle, or None where excluded.
 
-    The RNG stream is derived from (seed, sigma index, sample index), so
-    results are independent of scheduling order.
+    The RNG stream is derived from (seed, sigma index, sample index).
     """
     rng = np.random.default_rng([seed, sigma_idx, sample_idx])
     r_aug = sample_haar(rng)
@@ -167,8 +154,7 @@ def error_sweep(
     estimator target against the oracle is averaged.  Samples whose
     target computation fails are excluded from the mean and counted in
     ``n_excluded``, never silently substituted.  Deterministic given
-    ``seed``; worker threads (capped by SO3_DENOISE_THREADS) do not
-    change the result.
+    ``seed``.
     """
     x = np.asarray(x, dtype=float)
     if n_noise < 1:
@@ -178,15 +164,8 @@ def error_sweep(
         raise ValueError("sigmas must be positive and strictly ascending")
 
     records = []
-    workers = _worker_count()
     for si, sigma in enumerate(sig):
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                samples = list(
-                    pool.map(lambda j: _sweep_sample(x, sigma, seed, si, j, tol), range(n_noise))
-                )
-        else:
-            samples = [_sweep_sample(x, sigma, seed, si, j, tol) for j in range(n_noise)]
+        samples = [_sweep_sample(x, sigma, seed, si, j, tol) for j in range(n_noise)]
         for kind in _SWEEP_KINDS:
             vals = np.array([s[kind] for s in samples if s[kind] is not None])
             n_ok = len(vals)
@@ -249,32 +228,23 @@ def averaging_offset_check(
 ) -> float:
     """Numerically verify that averaging a target only shifts the loss by a constant.
 
-    For each probe output ``d`` computes, by posterior quadrature,
+    For each probe output ``d`` computes, from the posterior mean,
     ``delta(d) = E_R[||d - R x||^2] - ||d - E_R[R] x||^2`` and returns
     the maximum spread ``|delta(d_i) - delta(d_0)|``.  The averaging
     identity predicts the spread is zero (delta is the same constant for
-    every d).  All expectations share one adaptive grid so the check is
-    not polluted by independent quadrature error.
+    every d).  The first term is linear in R,
+    ``E_R[||d - R x||^2] = |d|^2 + |x|^2 - 2 <d, E_R[R] x>``, so every
+    expectation comes from one quadrature of E_R[R].
     """
     if not probes:
         raise ValueError("need at least one probe")
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     ds = [np.asarray(d, dtype=float) for d in probes]
-    p = mf_from_observation(y, x, sigma)
-
-    def stats(rot: np.ndarray) -> np.ndarray:
-        # per node: the 9 entries of R, then ||d_i - R x||^2 for each probe
-        rx = np.einsum("nij,kj->nki", rot, x)  # (B, N, 3)
-        cols = [rot.reshape(-1, 9)]
-        for d in ds:
-            diff = d[None, :, :] - rx
-            cols.append(np.sum(diff * diff, axis=(1, 2))[:, None])
-        return np.concatenate(cols, axis=1)
-
-    flat = _mf_expect(p, stats, 9 + len(ds), tol)
-    mean_rot = flat[:9].reshape(3, 3)
+    mean_x = x @ mf_mean_quadrature(mf_from_observation(y, x, sigma), tol).T
     deltas = [
-        flat[9 + i] - frobenius_norm_sq(d - x @ mean_rot.T) for i, d in enumerate(ds)
+        frobenius_norm_sq(d) + frobenius_norm_sq(x) - 2.0 * np.sum(d * mean_x)
+        - frobenius_norm_sq(d - mean_x)
+        for d in ds
     ]
     return float(max(abs(dl - deltas[0]) for dl in deltas))

@@ -1,53 +1,54 @@
 """Deterministic numerical integration over SO(3).
 
-Provides the partition function and exact first moment of matrix Fisher
-distributions by quadrature, plus the quadrature-backed optimal
+Provides the exact first moment of matrix Fisher distributions, the
+partition function on a global grid, and the quadrature-backed optimal
 conditional denoiser.  This is the ground-truth path: it shares no code
 with the closed-form expansion in :mod:`so3denoise.fisher`, so agreement
 between the two is evidence rather than tautology.
 
-Two grid schemes:
+The first moment uses the canonical-frame 1-D Bessel representation of
+the matrix Fisher normalizer (Wood 1993; Lee, Leok & McClamroch 2018).
+For the proper SVD ``f = U diag(s) V^T``, ``E[R] = U diag(d) V^T`` with
 
-* ``global``: ZYZ Euler product grid, periodic trapezoid in the two
-  azimuthal angles and Gauss-Legendre in cos(beta).  Spectrally accurate
-  for smooth integrands over all of SO(3).
-* ``mode-centered``: midpoint product grid in exponential-map
-  coordinates around a given rotation, weighted by the exp-map Haar
-  density times cell volume, clipped to the injectivity ball and
-  renormalized.  Used for sharply concentrated integrands that a global
-  grid cannot resolve; only ratio-form (self-normalized) expectations
-  are meaningful on it.
+    d_k = int u g_k(u) du / int g_k(u) du   over u in [-1, 1],
+    g_k(u) = I0(a (1 - u)) I0(b (1 + u)) exp(s_k u),
 
-All posterior expectations are evaluated in log space (shifted by the
-running maximum of Tr[f^T R]), so concentrations up to ~1e6 produce no
-overflow.  Node blocks are enumerated in a fixed order with numpy's
-pairwise summation, so results are reproducible bit-for-bit.
+where ``a, b = (s_i -+ s_j) / 2`` for the other two indices ``s_i >= s_j``.
+The exponent is shifted to zero at ``u = 1`` and the integrals use
+Gauss-Legendre panels that shrink geometrically toward both endpoints,
+so concentrations up to ~1e6 neither overflow nor under-resolve.
+
+The ZYZ Euler product grid (periodic trapezoid in the two azimuthal
+angles, Gauss-Legendre in cos(beta)) remains as the partition-function
+path and as an independent reference for the moment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from functools import lru_cache
 
 import numpy as np
 
 from .fisher import MatrixFisher, mf_from_observation
-from .geom import _expmap_density, exp_map, proper_svd
+from .geom import proper_svd
 
-# Concentration above which the global grid under-resolves the posterior
-# peak and the mode-centered scheme takes over.
-CONCENTRATION_SWITCH = 50.0
+# Panels halve in width toward each endpoint of [-1, 1] down to 2**-_PANEL_DEPTH.
+_PANEL_DEPTH = 40
+_START_NODES_PER_PANEL = 4
+_MAX_NODES_PER_PANEL = 64
 
-# Mode-centered boxes span +-8 posterior standard deviations of the
-# Gaussian (Laplace) limit in every direction.
-BOX_STDDEVS = 8.0
+# Above this argument np.i0 overflows; the Hankel expansion of
+# I0(z) e^-z, sum_k ((2k-1)!!)^2 / (k! (8z)^k) / sqrt(2 pi z), takes over.
+_I0E_SWITCH = 700.0
+_HANKEL_I0 = np.array([1.0, 1 / 8, 9 / 128, 225 / 3072, 11025 / 98304, 893025 / 3932160])
 
-_MAX_NODES_PER_AXIS = 512
-_START_NODES_PER_AXIS = 16
+# For each index k, the other two (i, j) with s_i >= s_j under proper_svd's ordering.
+_OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
 
 
 class NoConvergenceError(RuntimeError):
-    """Grid refinement hit the node cap before meeting the tolerance.
+    """Refinement hit the node cap before meeting the tolerance.
 
     Carries the last two (finest) estimates for inspection.
     """
@@ -64,16 +65,11 @@ class So3Grid:
 
     rotations: np.ndarray  # (M, 3, 3)
     weights: np.ndarray    # (M,)
-    scheme: str            # "global-euler" | "mode-centered"
     n: int                 # nodes per axis
 
     @property
     def node_count(self) -> int:
         return self.rotations.shape[0]
-
-    def blocks(self, block_size: int = 65536) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for i in range(0, self.node_count, block_size):
-            yield self.rotations[i : i + block_size], self.weights[i : i + block_size]
 
 
 def _rot_z(angles: np.ndarray) -> np.ndarray:
@@ -98,80 +94,24 @@ def _rot_y(angles: np.ndarray) -> np.ndarray:
     return m
 
 
-def _global_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (rotations, weights) slices of the ZYZ global grid, one per gamma node."""
-    alpha = 2.0 * np.pi * np.arange(n) / n
-    gamma = 2.0 * np.pi * np.arange(n) / n
-    u, gl_w = np.polynomial.legendre.leggauss(n)
-    beta = np.arccos(u)
-    # Haar weight: (2pi/n)^2 * gl_w / (8 pi^2) = gl_w / (2 n^2); sums to 1.
-    w_slice = np.tile(gl_w / (2.0 * n * n), n)
-    ra = _rot_z(alpha)
-    rb = _rot_y(beta)
-    rab = np.einsum("aij,bjk->abik", ra, rb).reshape(n * n, 3, 3)
-    for g in _rot_z(gamma):
-        yield rab @ g, w_slice
-
-
 def so3_grid_global(n: int) -> So3Grid:
     """ZYZ Euler product grid with n nodes per axis (n^3 total)."""
     if n < 2:
         raise ValueError(f"need n >= 2 nodes per axis, got {n}")
-    rot_parts, w_parts = zip(*_global_blocks(n))
-    return So3Grid(np.concatenate(rot_parts), np.concatenate(w_parts), "global-euler", n)
-
-
-def _expmap_blocks(
-    mode: np.ndarray, halfwidth: float, n: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield slices of the mode-centered exp-map box grid (raw, unnormalized weights).
-
-    Nodes outside the injectivity ball ||theta|| > pi are dropped; the
-    density formula would double-count wrapped rotations there.
-    """
-    axis = (np.arange(n) + 0.5) / n * (2.0 * halfwidth) - halfwidth
-    cell = (2.0 * halfwidth / n) ** 3
-    t2, t3 = np.meshgrid(axis, axis, indexing="ij")
-    for t1 in axis:
-        theta = np.stack([np.full(t2.shape, t1), t2, t3], axis=-1).reshape(-1, 3)
-        r = np.linalg.norm(theta, axis=1)
-        keep = r <= np.pi
-        if not np.any(keep):
-            continue
-        theta = theta[keep]
-        w = _expmap_density(r[keep]) * cell
-        yield mode @ exp_map(theta), w
-
-
-def so3_grid_mode_centered(mode: np.ndarray, halfwidth: float, n: int) -> So3Grid:
-    """Midpoint exp-map box grid around ``mode``, ball-clipped and renormalized."""
-    if not 0.0 < halfwidth <= np.pi:
-        raise ValueError(f"halfwidth must lie in (0, pi], got {halfwidth}")
-    if n < 2:
-        raise ValueError(f"need n >= 2 nodes per axis, got {n}")
-    mode = np.asarray(mode, dtype=float)
-    rot_parts, w_parts = zip(*_expmap_blocks(mode, halfwidth, n))
-    w = np.concatenate(w_parts)
-    return So3Grid(np.concatenate(rot_parts), w / w.sum(), "mode-centered", n)
+    azimuth = 2.0 * np.pi * np.arange(n) / n
+    u, gl_w = np.polynomial.legendre.leggauss(n)
+    rab = np.einsum("aij,bjk->abik", _rot_z(azimuth), _rot_y(np.arccos(u))).reshape(n * n, 3, 3)
+    rotations = (rab[None] @ _rot_z(azimuth)[:, None]).reshape(-1, 3, 3)
+    # Haar weight: (2pi/n)^2 * gl_w / (8 pi^2) = gl_w / (2 n^2); sums to 1.
+    weights = np.tile(gl_w / (2.0 * n * n), n * n)
+    return So3Grid(rotations, weights, n)
 
 
 def mf_log_partition(p: MatrixFisher, grid: So3Grid) -> float:
-    """log of the Haar-normalized partition function Z(f) on a given grid.
-
-    Only global grids estimate Z itself; on a mode-centered grid the
-    renormalized weights make this a box-local average instead.
-    """
-    from scipy.special import logsumexp
-
-    best = -np.inf
-    acc = 0.0
-    for rot, w in grid.blocks():
-        vals = logsumexp(np.einsum("ij,nij->n", p.f, rot), b=w)
-        if vals > best:
-            acc *= np.exp(best - vals)
-            best = vals
-        acc += np.exp(vals - best)
-    return float(best + np.log(acc))
+    """log of the Haar-normalized partition function Z(f) on a global grid."""
+    logp = np.einsum("ij,nij->n", p.f, grid.rotations)
+    shift = logp.max()
+    return float(shift + np.log(np.sum(grid.weights * np.exp(logp - shift))))
 
 
 def mf_partition(p: MatrixFisher, grid: So3Grid) -> float:
@@ -180,91 +120,75 @@ def mf_partition(p: MatrixFisher, grid: So3Grid) -> float:
         return float(np.exp(mf_log_partition(p, grid)))
 
 
-def _posterior_stats(
-    f: np.ndarray,
-    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
-    stat_fn: Callable[[np.ndarray], np.ndarray],
-    stat_dim: int,
-) -> np.ndarray:
-    """Posterior mean of per-node statistics under exp(Tr[f^T R]) dHaar.
+def _i0e(z: np.ndarray) -> np.ndarray:
+    """Exponentially scaled modified Bessel function I0(z) e^-z for z >= 0."""
+    out = np.empty_like(z)
+    small = z <= _I0E_SWITCH
+    zs, zl = z[small], z[~small]
+    out[small] = np.i0(zs) * np.exp(-zs)
+    out[~small] = np.polynomial.polynomial.polyval(1.0 / zl, _HANKEL_I0) / np.sqrt(2.0 * np.pi * zl)
+    return out
 
-    ``stat_fn`` maps a block of rotations (B, 3, 3) to statistics (B, K).
-    Any common scaling of the weights cancels, so raw (unnormalized)
-    block weights are fine.  Streaming log-sum-exp keeps everything
-    finite for arbitrarily sharp concentrations.
+
+@lru_cache(maxsize=8)
+def _panel_nodes(n: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes as 1 - u on [0, 2] and Gauss-Legendre weights, n per panel.
+
+    Each half of [-1, 1] is split at distances 2^-depth, ..., 1/2, 1 from
+    its endpoint; nodes are placed by that distance so 1 - u and 1 + u
+    stay exact near u = 1 and u = -1 respectively.
     """
-    shift = -np.inf
-    den = 0.0
-    num = np.zeros(stat_dim)
-    for rot, w in blocks:
-        logp = np.einsum("ij,nij->n", f, rot)
-        m = float(logp.max())
-        if m > shift:
-            rescale = np.exp(shift - m)
-            den *= rescale
-            num *= rescale
-            shift = m
-        e = w * np.exp(logp - shift)
-        den += e.sum()
-        num += e @ stat_fn(rot)
-    return num / den
+    edges = np.concatenate([[0.0], 2.0 ** -np.arange(depth, -1, -1)])
+    x, w = np.polynomial.legendre.leggauss(n)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    t = ((lo + hi) / 2 + (hi - lo) / 2 * x).ravel()
+    wt = ((hi - lo) / 2 * w).ravel()
+    one_minus_u, weights = np.concatenate([t, 2.0 - t]), np.concatenate([wt, wt])
+    one_minus_u.setflags(write=False)  # cached: shared by every caller
+    weights.setflags(write=False)
+    return one_minus_u, weights
 
 
-def _mf_expect(p: MatrixFisher, stat_fn, stat_dim: int, tol: float) -> np.ndarray:
-    """Adaptively refined posterior expectation of arbitrary statistics.
+def _canonical_mean(s: np.ndarray, n: int) -> np.ndarray:
+    """Diagonal d of E[Q] under exp(sum_k s_k Q_kk) dHaar, n nodes per panel."""
+    one_minus_u, w = _panel_nodes(n, _PANEL_DEPTH)
+    i, j = _OTHER_AXES.T
+    a = 0.5 * (s[i] - s[j])
+    b = 0.5 * (s[i] + s[j])
+    # exponent a(1-u) + b(1+u) + s_k u = s_i + (s_j + s_k) u, shifted to 0 at u = 1
+    g = (
+        w
+        * _i0e(np.outer(a, one_minus_u))
+        * _i0e(np.outer(b, 2.0 - one_minus_u))
+        * np.exp(-np.outer(s[j] + s, one_minus_u))
+    )
+    return 1.0 - (g @ one_minus_u) / g.sum(axis=1)
 
-    Starts on a coarse grid and doubles the per-axis node count until two
-    successive estimates agree to ``tol`` per entry.  Sharp posteriors
-    (top singular value of f above the switch threshold) use a
-    mode-centered box sized from the weakest posterior curvature, which
-    is the smallest pairwise singular-value sum s2 + s3; the box then
-    spans +-8 standard deviations along every exp-map axis.  If that box
-    would exceed a half-turn the posterior is too diffuse for the local
-    chart and the global grid is used instead.
+
+def mf_mean_quadrature(p: MatrixFisher, tol: float = 1e-8) -> np.ndarray:
+    """Exact first moment E[R] of MF(R; f) by 1-D Bessel quadrature.
+
+    The nodes per panel double until two successive estimates agree to
+    ``tol`` per matrix entry; failure to converge raises
+    :class:`NoConvergenceError` carrying the last two estimates.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    kappa = 0.0
-    mode = None
-    halfwidth = np.pi
-    if np.any(p.f):
-        u, s, v = proper_svd(p.f)
-        kappa = s[0]
-        weakest = s[1] + s[2]
-        if kappa > CONCENTRATION_SWITCH and weakest > 0:
-            halfwidth = min(np.pi, BOX_STDDEVS / np.sqrt(weakest))
-            if halfwidth <= np.pi / 2:
-                mode = u @ v.T
-
+    u, s, v = proper_svd(p.f)
     prev = None
     est = None
-    n = _START_NODES_PER_AXIS
-    while n <= _MAX_NODES_PER_AXIS:
-        if mode is not None:
-            blocks = _expmap_blocks(mode, halfwidth, n)
-        else:
-            blocks = _global_blocks(n)
-        prev, est = est, _posterior_stats(p.f, blocks, stat_fn, stat_dim)
+    n = _START_NODES_PER_PANEL
+    while n <= _MAX_NODES_PER_PANEL:
+        prev, est = est, (u * _canonical_mean(s, n)) @ v.T
         if prev is not None and np.max(np.abs(est - prev)) < tol:
             return est
         n *= 2
     raise NoConvergenceError(
-        f"posterior expectation did not converge to tol={tol} "
-        f"by n={_MAX_NODES_PER_AXIS} (concentration {kappa:.3g})",
+        f"posterior mean did not converge to tol={tol} "
+        f"by {_MAX_NODES_PER_PANEL} nodes per panel (concentration {s[0]:.3g})",
         last=est,
         previous=prev,
     )
-
-
-def mf_mean_quadrature(p: MatrixFisher, tol: float = 1e-8) -> np.ndarray:
-    """Exact first moment E[R] of MF(R; f) by adaptive quadrature.
-
-    Successive grid refinements must agree to ``tol`` per matrix entry;
-    failure to converge raises :class:`NoConvergenceError` carrying the
-    last two estimates.
-    """
-    flat = _mf_expect(p, lambda rot: rot.reshape(-1, 9), 9, tol)
-    return flat.reshape(3, 3)
 
 
 def oracle_conditional_denoiser(

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import so3denoise
 from so3denoise.cli import main
 from so3denoise.geom import is_rotation, proper_svd
 from so3denoise.estimators import read_sweep_csv
@@ -122,3 +127,33 @@ def test_selftest_fast_passes(capsys):
     out = capsys.readouterr().out
     assert "ok   grid-moments" in out
     assert "FAIL" not in out
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+import numpy as np
+from so3denoise.cli import main
+from so3denoise.fisher import MatrixFisher
+from so3denoise.quadrature import mf_mean_quadrature
+from so3denoise.trajectory import save_trajectory, synth_trajectory
+
+out_dir = sys.argv[1]
+mf_mean_quadrature(MatrixFisher(np.diag([5.0, 3.0, 1.0])))
+save_trajectory(synth_trajectory(8, 2, 0.1, seed=3), out_dir + "/t.xyz")
+code = main(["sweep", "--input", out_dir + "/t.xyz", "--frame", "0", "--sigmas", "0.1",
+             "--n-noise", "2", "--seed", "1", "--out", out_dir + "/s.csv"])
+assert code == 0
+assert "scipy" not in sys.modules, "scipy was imported"
+"""
+
+
+def test_cli_oracle_and_sweep_do_not_import_scipy(tmp_path):
+    # scipy is a test-only dependency; importing it would bloat every CLI run
+    src = str(Path(so3denoise.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

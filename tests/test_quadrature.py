@@ -1,23 +1,25 @@
 import numpy as np
 import pytest
+from scipy.special import i0, i1
 
 import so3denoise.quadrature as quad
 from so3denoise.fisher import MatrixFisher, mf_mean_laplace
 from so3denoise.geom import center, frobenius_norm_sq, rotate, sample_haar
 from so3denoise.quadrature import (
     NoConvergenceError,
-    _posterior_stats,
     mf_log_partition,
     mf_mean_quadrature,
     mf_partition,
     oracle_conditional_denoiser,
     so3_grid_global,
-    so3_grid_mode_centered,
 )
 
 
 def posterior_mean(f, grid):
-    return _posterior_stats(f, grid.blocks(), lambda rot: rot.reshape(-1, 9), 9).reshape(3, 3)
+    """E[R] under exp(Tr[f^T R]) dHaar as a log-shifted weighted sum over grid nodes."""
+    logp = np.einsum("ij,nij->n", f, grid.rotations)
+    w = grid.weights * np.exp(logp - logp.max())
+    return np.einsum("n,nij->ij", w, grid.rotations) / w.sum()
 
 
 def test_global_grid_invariants():
@@ -39,36 +41,25 @@ def test_global_grid_haar_moments():
         assert abs(np.sum(g.weights * tr**2) - 1.0) <= 1e-8
 
 
-def test_mode_centered_grid_invariants_and_box():
-    rng = np.random.default_rng(0)
-    r0 = sample_haar(rng)
-    g = so3_grid_mode_centered(r0, 0.4, 8)
-    assert np.all(g.weights > 0)
-    assert abs(g.weights.sum() - 1.0) <= 1e-12
-    assert g.node_count == 8**3  # box entirely inside the injectivity ball
-    rel = np.einsum("ji,njk->nik", r0, g.rotations)  # r0^T R
-    angles = np.arccos(np.clip((np.trace(rel, axis1=1, axis2=2) - 1) / 2, -1, 1))
-    assert angles.max() <= np.sqrt(3) * 0.4 + 1e-12
-    with pytest.raises(ValueError):
-        so3_grid_mode_centered(r0, 0.0, 8)
-    with pytest.raises(ValueError):
-        so3_grid_mode_centered(r0, 3.5, 8)
-    with pytest.raises(ValueError):
-        so3_grid_mode_centered(r0, 0.4, 1)
+@pytest.mark.parametrize(
+    "spectrum", [(2.0, 1.0, 0.5), (8.0, 3.0, -2.0), (5.0, 5.0, -4.99), (20.0, 10.0, 1.0)]
+)
+def test_mean_quadrature_matches_global_grid(spectrum):
+    # two independent paths: the 1-D Bessel integral and a fine grid over SO(3)
+    rng = np.random.default_rng(8)
+    r1, r2 = sample_haar(rng), sample_haar(rng)
+    f = r1 @ np.diag(spectrum) @ r2.T
+    ref = posterior_mean(f, so3_grid_global(48))
+    est = mf_mean_quadrature(MatrixFisher(f), tol=1e-12)
+    assert np.max(np.abs(est - ref)) <= 1e-10
 
 
-def test_mode_centered_full_ball_matches_global_trace():
-    g = so3_grid_mode_centered(np.eye(3), np.pi, 192)
-    tr = np.trace(g.rotations, axis1=1, axis2=2)
-    assert abs(np.sum(g.weights * tr)) <= 1e-4  # global value is 0
-
-
-def test_mode_centered_refinement_study():
-    # concentrated integrand: box spanning the posterior matches a fine global grid
-    f = np.diag([100.0, 95.0, 90.0])
-    ref = posterior_mean(f, so3_grid_global(128))
-    est = posterior_mean(f, so3_grid_mode_centered(np.eye(3), 0.45, 64))
-    assert np.max(np.abs(est - ref)) <= 1e-6
+@pytest.mark.parametrize("s1", [1e4, 1e6])
+def test_mean_quadrature_needle_limit(s1):
+    # as s1 -> inf the posterior of Q22 tends to exp(6 cos t) on a circle,
+    # so E[Q22] -> I1(6)/I0(6) with an O(1/s1) gap
+    m = mf_mean_quadrature(MatrixFisher(np.diag([s1, 5.0, 1.0])), tol=1e-10)
+    assert abs(m[1, 1] - i1(6.0) / i0(6.0)) <= 1.0 / s1
 
 
 def test_partition_uniform_and_jensen():
@@ -125,13 +116,14 @@ def test_mean_quadrature_finite_for_huge_concentration():
 
 
 def test_mean_quadrature_no_convergence_carries_estimates(monkeypatch):
-    # a needle-like posterior the capped global grid cannot resolve
-    monkeypatch.setattr(quad, "_MAX_NODES_PER_AXIS", 64)
+    # a needle-like posterior that shallow panels with few nodes cannot resolve
+    monkeypatch.setattr(quad, "_PANEL_DEPTH", 2)
+    monkeypatch.setattr(quad, "_MAX_NODES_PER_PANEL", 16)
     p = MatrixFisher(np.diag([4000.0, 1.0, 0.5]))
     with pytest.raises(NoConvergenceError) as excinfo:
         mf_mean_quadrature(p, tol=1e-10)
-    assert excinfo.value.last.shape == (9,) or excinfo.value.last.shape == (3, 3)
-    assert excinfo.value.previous is not None
+    assert excinfo.value.last.shape == (3, 3)
+    assert excinfo.value.previous.shape == (3, 3)
 
 
 def test_oracle_uniform_limit():
