@@ -33,6 +33,7 @@ from .diffusion import (
     write_metrics_csv,
 )
 from .estimators import (
+    BatchTargets,
     DegenerateAlignmentWarning,
     EstimatorKind,
     SweepRecord,
@@ -46,9 +47,11 @@ from .estimators import (
 )
 from .fisher import (
     ExpansionSingularError,
+    LaplaceMean,
     MatrixFisher,
     c1,
     c2,
+    expansion_singular,
     mf_from_observation,
     mf_log_density_unnorm,
     mf_mean_laplace,

@@ -19,9 +19,7 @@ import numpy as np
 
 from .align import aligned_rmsd, rmsd
 from .estimators import EstimatorKind, estimator_target
-from .fisher import ExpansionSingularError
-from .geom import center, rotate, sample_haar
-from .quadrature import NoConvergenceError
+from .geom import center, haar_from_normals, rotate
 
 _PARAM_FIELDS = ("w1", "b1", "w2", "b2")
 
@@ -83,6 +81,8 @@ class TrainConfig:
     hidden: int = 64
 
     def __post_init__(self):
+        if not (np.isfinite(self.sigma) and np.isfinite(self.lr)):
+            raise ValueError(f"sigma and lr must be finite, got {self.sigma} and {self.lr}")
         if self.sigma <= 0 or self.lr <= 0 or self.batch < 1 or self.hidden < 1:
             raise ValueError("sigma, lr, batch and hidden must be positive")
         if self.steps < 0:
@@ -108,11 +108,25 @@ class DdimSchedule:
 
     def __post_init__(self):
         sig = tuple(float(s) for s in self.sigmas)
+        if not np.all(np.isfinite(sig)):
+            raise ValueError(f"schedule noise levels must be finite, got {sig}")
         if len(sig) < 2 or sig[0] <= 0 or sig[-1] != 0.0:
             raise ValueError("schedule needs sigma_M > ... > sigma_0 = 0")
         if any(a <= b for a, b in zip(sig, sig[1:])):
             raise ValueError("schedule must be strictly descending")
         object.__setattr__(self, "sigmas", sig)
+
+
+def _noised(xs: np.ndarray, q: np.ndarray, eta: np.ndarray | None, sigma: float):
+    """Rotate clouds by the Haar rotations of normals ``q``, add ``sigma * eta``, re-center.
+
+    Works on one cloud or a stack; ``eta=None`` adds no noise.
+    """
+    r_aug = haar_from_normals(q)
+    z = rotate(r_aug, xs)
+    if eta is None:
+        return z, r_aug
+    return center(z + sigma * eta), r_aug
 
 
 def noise_sample(
@@ -125,38 +139,40 @@ def noise_sample(
     """
     if sigma < 0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
-    r_aug = sample_haar(rng)
-    z = rotate(r_aug, np.asarray(x, dtype=float))
-    if sigma == 0:
-        return z, r_aug
-    return center(z + sigma * rng.standard_normal(z.shape)), r_aug
+    x = np.asarray(x, dtype=float)
+    q = rng.standard_normal(4)
+    return _noised(x, q, None if sigma == 0 else rng.standard_normal(x.shape), sigma)
 
 
 def _features(m: MlpDenoiser, ys: np.ndarray, sigma: float) -> np.ndarray:
-    b = ys.shape[0]
-    feats = np.empty((b, 3 * m.n_points + 2))
-    feats[:, : 3 * m.n_points] = ys.reshape(b, -1) / m.s_ref
-    feats[:, -2] = np.log(sigma)
-    feats[:, -1] = 1.0
+    """Feature rows ``(..., 3n + 2)`` for clouds ``(..., n, 3)``."""
+    lead = ys.shape[:-2]
+    feats = np.empty(lead + (3 * m.n_points + 2,))
+    feats[..., : 3 * m.n_points] = ys.reshape(lead + (-1,)) / m.s_ref
+    feats[..., -2] = np.log(sigma)
+    feats[..., -1] = 1.0
     return feats
 
 
-def _forward_batch(m: MlpDenoiser, ys: np.ndarray, sigma: float):
+def _forward(m: MlpDenoiser, ys: np.ndarray, sigma: float):
     feats = _features(m, ys, sigma)
     hidden = np.tanh(feats @ m.w1.T + m.b1)
     flat = hidden @ m.w2.T + m.b2
-    out = flat.reshape(ys.shape[0], m.n_points, 3)
-    out = out - out.mean(axis=1, keepdims=True)
-    return out, (feats, hidden)
+    return center(flat.reshape(ys.shape)), (feats, hidden)
 
 
 def mlp_forward(m: MlpDenoiser, y: np.ndarray, sigma: float) -> np.ndarray:
-    """Denoised prediction for a single cloud at noise level sigma."""
+    """Denoised prediction for a cloud ``(n, 3)`` or a stack ``(b, n, 3)``.
+
+    Each cloud of a stack is one feature row of its own, ``(b, 1, 3n + 2)``,
+    so its prediction is bit for bit the single-cloud prediction whatever
+    else is in the stack.
+    """
     y = np.asarray(y, dtype=float)
-    if y.shape != (m.n_points, 3):
-        raise ValueError(f"expected shape {(m.n_points, 3)}, got {y.shape}")
-    out, _ = _forward_batch(m, y[None], sigma)
-    return out[0]
+    if y.ndim not in (2, 3) or y.shape[-2:] != (m.n_points, 3):
+        raise ValueError(f"expected shape {(m.n_points, 3)} or a stack of it, got {y.shape}")
+    out, _ = _forward(m, y[..., None, :, :], sigma)
+    return out[..., 0, :, :]
 
 
 class LossAndGrad(NamedTuple):
@@ -165,20 +181,11 @@ class LossAndGrad(NamedTuple):
     n_excluded: int
 
 
-def _batch_targets(batch, sigma: float, estimator: EstimatorKind, tol: float):
-    """Estimator targets for a batch; failed samples are dropped and counted."""
-    kept, targets = [], []
-    for y, x, r_aug in batch:
-        try:
-            t = estimator_target(
-                estimator, y, x, sigma,
-                r_aug=r_aug if estimator is EstimatorKind.AUG else None, tol=tol,
-            )
-        except (ExpansionSingularError, NoConvergenceError):
-            continue
-        kept.append(y)
-        targets.append(t)
-    return kept, targets, len(batch) - len(kept)
+def _targets(ys, xs, r_aug, sigma: float, estimator: EstimatorKind, tol: float):
+    """Estimator targets for stacked pairs and the mask of items to keep."""
+    return estimator_target(
+        estimator, ys, xs, sigma, r_aug=r_aug if estimator is EstimatorKind.AUG else None, tol=tol
+    )
 
 
 def loss_and_grad(
@@ -196,15 +203,17 @@ def loss_and_grad(
     """
     if not batch:
         raise ValueError("batch must be nonempty")
-    kept, targets, n_excluded = _batch_targets(batch, sigma, estimator, tol)
-    if not kept:
+    ys, xs, r_aug = (np.stack(part) for part in zip(*batch))
+    targets, keep = _targets(ys, xs, r_aug, sigma, estimator, tol)
+    if not keep.any():
         raise ValueError("every sample in the batch was excluded")
-    ys = np.stack(kept)
-    ts = np.stack(targets)
+    if not keep.all():
+        ys, targets = ys[keep], targets[keep]
     b = ys.shape[0]
 
-    out, (feats, hidden) = _forward_batch(m, ys, sigma)
-    diff = out - ts
+    # one (b, 3n + 2) feature matrix: the training forward is a single GEMM
+    out, (feats, hidden) = _forward(m, ys, sigma)
+    diff = out - targets
     loss = float(np.sum(diff * diff) / b)
 
     g_out = 2.0 * diff / b
@@ -218,24 +227,7 @@ def loss_and_grad(
         "w1": g_pre.T @ feats,
         "b1": g_pre.sum(axis=0),
     }
-    return LossAndGrad(loss, grads, n_excluded)
-
-
-def _probe_metrics(m: MlpDenoiser, probe, sigma: float) -> tuple[float, float]:
-    vals_rmsd, vals_aligned = [], []
-    for y, x, r_aug in probe:
-        pred = mlp_forward(m, y, sigma)
-        vals_rmsd.append(rmsd(pred, rotate(r_aug, x)))
-        vals_aligned.append(aligned_rmsd(pred, x))
-    return float(np.mean(vals_rmsd)), float(np.mean(vals_aligned))
-
-
-def _probe_loss(m: MlpDenoiser, kept_ys, targets, sigma: float) -> float:
-    if not targets:
-        return float("nan")
-    preds = np.stack([mlp_forward(m, y, sigma) for y in kept_ys])
-    ts = np.stack(targets)
-    return float(np.sum((preds - ts) ** 2) / len(targets))
+    return LossAndGrad(loss, grads, len(batch) - b)
 
 
 def train(
@@ -263,21 +255,37 @@ def train(
     model = MlpDenoiser.initialize(n_points, cfg.hidden, s_ref, rng)
 
     def draw_batch(size: int):
-        items = []
-        for _ in range(size):
-            x = frames[0] if cfg.dataset_mode == "single-frame" else frames[rng.integers(len(frames))]
-            y, r_aug = noise_sample(x, cfg.sigma, rng)
-            items.append((y, x, r_aug))
-        return items
+        """(ys, xs, r_aug) stacks; the generator is called item by item, in
+        the order ``noise_sample`` calls it, so the stream matches a loop of it."""
+        idx = np.zeros(size, dtype=int)
+        q = np.empty((size, 4))
+        eta = np.empty((size, n_points, 3))
+        for i in range(size):
+            if cfg.dataset_mode == "all-frames":
+                idx[i] = rng.integers(len(frames))
+            rng.standard_normal(out=q[i])
+            rng.standard_normal(out=eta[i])
+        xs = frames[idx]
+        ys, r_aug = _noised(xs, q, eta, cfg.sigma)
+        return ys, xs, r_aug
 
-    probe = draw_batch(probe_size)
-    probe_kept, probe_targets, _ = _batch_targets(probe, cfg.sigma, cfg.estimator, tol)
+    probe_ys, probe_xs, probe_r = draw_batch(probe_size)
+    probe_truth = rotate(probe_r, probe_xs)
+    probe_targets, probe_keep = _targets(probe_ys, probe_xs, probe_r, cfg.sigma, cfg.estimator, tol)
 
-    metrics = []
-    r0, a0 = _probe_metrics(model, probe, cfg.sigma)
-    metrics.append(
-        StepMetrics(0, _probe_loss(model, probe_kept, probe_targets, cfg.sigma), r0, a0, 0)
-    )
+    def probe_metrics(step: int, loss: float, n_excluded: int) -> StepMetrics:
+        pred = mlp_forward(model, probe_ys, cfg.sigma)
+        r = float(np.mean(rmsd(pred, probe_truth)))
+        a = float(np.mean(aligned_rmsd(pred, probe_xs)))
+        return StepMetrics(step, loss, r, a, n_excluded)
+
+    if probe_keep.any():
+        preds = mlp_forward(model, probe_ys[probe_keep], cfg.sigma)
+        diff = preds - probe_targets[probe_keep]
+        probe_loss = float(np.sum(diff**2) / np.count_nonzero(probe_keep))
+    else:
+        probe_loss = float("nan")
+    metrics = [probe_metrics(0, probe_loss, 0)]
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     moment1 = {k: np.zeros_like(v) for k, v in model.params().items()}
@@ -286,7 +294,8 @@ def train(
     # overflow inside a step is the divergence signal, surfaced via the status
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, cfg.steps + 1):
-            batch = draw_batch(cfg.batch)
+            # (y, x, r_aug) triples: the step goes through the public loss_and_grad
+            batch = list(zip(*draw_batch(cfg.batch)))
             try:
                 loss, grads, n_excluded = loss_and_grad(model, batch, cfg.sigma, cfg.estimator, tol)
             except ValueError:
@@ -301,8 +310,7 @@ def train(
                 setattr(model, name, getattr(model, name) - cfg.lr * m_hat / (np.sqrt(v_hat) + eps))
             if not all(np.all(np.isfinite(p)) for p in model.params().values()):
                 return TrainResult(model, metrics, "diverged", step)
-            r, a = _probe_metrics(model, probe, cfg.sigma)
-            metrics.append(StepMetrics(step, loss, r, a, n_excluded))
+            metrics.append(probe_metrics(step, loss, n_excluded))
     return TrainResult(model, metrics, "completed", None)
 
 

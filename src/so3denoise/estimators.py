@@ -19,12 +19,13 @@ import csv
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .align import kabsch
 from .fisher import ExpansionSingularError, mf_from_observation, mf_mean_laplace
-from .geom import center, frobenius_norm_sq, rotate, sample_haar
+from .geom import center, frobenius_norm_sq, rotate, sample_haar, transpose
 from .quadrature import NoConvergenceError, mf_mean_quadrature, oracle_conditional_denoiser
 
 SWEEP_CSV_HEADER = ["sigma", "kind", "mean_mse", "stderr", "n_samples", "n_excluded", "seed"]
@@ -53,6 +54,13 @@ class SweepRecord:
     seed: int
 
 
+class BatchTargets(NamedTuple):
+    """Batched ``estimator_target``: targets ``(..., N, 3)`` and which items to keep."""
+
+    targets: np.ndarray
+    keep: np.ndarray
+
+
 def estimator_target(
     kind: EstimatorKind,
     y: np.ndarray,
@@ -60,7 +68,7 @@ def estimator_target(
     sigma: float,
     r_aug: np.ndarray | None = None,
     tol: float = 1e-8,
-) -> np.ndarray:
+) -> np.ndarray | BatchTargets:
     """Regression target of the chosen estimator for the pair (y, x).
 
     ``r_aug`` must be supplied exactly when ``kind`` is AUG: the
@@ -68,6 +76,12 @@ def estimator_target(
     Order-1/2 targets raise :class:`ExpansionSingularError` on
     near-degenerate spectra; a degenerate alignment is flagged with
     :class:`DegenerateAlignmentWarning`.
+
+    Stacks of pairs ``(..., N, 3)`` (with ``r_aug`` of shape
+    ``(..., 3, 3)``) return ``BatchTargets(targets, keep)``.  Items whose
+    target cannot be computed (expansion-singular spectra, oracle
+    non-convergence) are not raised but have ``keep`` False and NaN
+    targets; a batch with degenerate alignments warns once.
     """
     kind = EstimatorKind(kind)
     if (r_aug is not None) != (kind is EstimatorKind.AUG):
@@ -76,18 +90,33 @@ def estimator_target(
         raise ValueError(f"sigma must be positive, got {sigma}")
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
+    batched = y.ndim > 2
+    keep = np.ones(y.shape[:-2], dtype=bool)
 
     if kind is EstimatorKind.AUG:
-        return rotate(r_aug, x)
-    if kind is EstimatorKind.ORACLE:
-        return oracle_conditional_denoiser(y, x, sigma, tol)
-    if kind is EstimatorKind.ORDER0:
-        result = kabsch(y, x)
-        if result.degenerate:
+        targets = rotate(r_aug, x)
+    elif kind is EstimatorKind.ORACLE:
+        if not batched:
+            return oracle_conditional_denoiser(y, x, sigma, tol)
+        targets = np.full(y.shape, np.nan)
+        for i in np.ndindex(keep.shape):
+            try:
+                targets[i] = oracle_conditional_denoiser(y[i], x[i], sigma, tol)
+            except NoConvergenceError:
+                keep[i] = False
+    elif kind is EstimatorKind.ORDER0:
+        rotation, degenerate = kabsch(y, x)
+        if np.any(degenerate):
             warnings.warn("alignment is degenerate; target not unique", DegenerateAlignmentWarning)
-        return rotate(result.rotation, x)
-    order = 1 if kind is EstimatorKind.ORDER1 else 2
-    return x @ mf_mean_laplace(y.T @ x, sigma, order).T
+        targets = rotate(rotation, x)
+    else:
+        order = 1 if kind is EstimatorKind.ORDER1 else 2
+        mean = mf_mean_laplace(transpose(y) @ x, sigma, order)
+        if batched:
+            mean, singular = mean
+            keep = ~singular
+        targets = x @ transpose(mean)
+    return BatchTargets(targets, keep) if batched else targets
 
 
 def mse_to_oracle(

@@ -14,11 +14,13 @@ formulas are validated against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .geom import proper_svd
+from .geom import proper_svd, transpose
 
 
 class ExpansionSingularError(ValueError):
@@ -66,55 +68,100 @@ def mf_mode(p: MatrixFisher) -> np.ndarray:
     return u @ v.T
 
 
-def _pairwise_sums(s: np.ndarray) -> np.ndarray:
-    """(s2+s3, s1+s3, s1+s2): the expansion denominator for each axis."""
-    return np.array([s[1] + s[2], s[0] + s[2], s[0] + s[1]])
+# entry i of the sums leaves out s_i; entry i of c1, c2 combines the other two sums
+_PAIRS = (np.array([1, 0, 0]), np.array([2, 2, 1]))
 
 
-def _check_spectrum(s: np.ndarray) -> np.ndarray:
+def _pairwise_sums(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s2+s3, s1+s3, s1+s2), the expansion denominator for each axis, and
+    the mask of spectra where one of them is too small."""
     s = np.asarray(s, dtype=float)
-    if s.shape != (3,):
+    if s.shape[-1:] != (3,):
         raise ValueError("expected a singular spectrum (s1, s2, s3)")
-    sums = _pairwise_sums(s)
-    if np.any(sums <= 1e-9 * s[0]):
+    d = s.take(_PAIRS[0], axis=-1) + s.take(_PAIRS[1], axis=-1)
+    return d, (d <= 1e-9 * s[..., :1]).any(axis=-1)
+
+
+def expansion_singular(s: np.ndarray) -> np.ndarray:
+    """Per-spectrum mask: some pairwise sum is too small for the expansion.
+
+    ``s`` is one spectrum ``(3,)`` or a stack ``(..., 3)``; the mask has
+    the leading shape.
+    """
+    return _pairwise_sums(s)[1]
+
+
+def _safe_sums(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise sums, set to ones for singular spectra, and the singular mask.
+
+    A single spectrum that is singular raises ``ExpansionSingularError``.
+    """
+    d, singular = _pairwise_sums(s)
+    if d.ndim > 1:
+        return np.where(singular[..., None], 1.0, d), singular
+    if singular:
         raise ExpansionSingularError(
-            f"pairwise singular-value sums {sums} too small relative to s1={s[0]}"
+            f"pairwise singular-value sums {d} too small relative to s1={s[0]}"
         )
-    return s
+    return d, singular
+
+
+_POW = np.frompyfunc(math.pow, 2, 1)
+
+
+def _square(d: np.ndarray) -> np.ndarray:
+    # Squared one element at a time through libm pow, as ``d[k] ** 2`` does on
+    # a numpy scalar: pow and d * d differ in the last bit for about one value
+    # in 1200, and seeded training results are pinned to the pow rounding.
+    return _POW(d, 2.0).astype(float)
+
+
+def _diagonal(d: np.ndarray, singular: np.ndarray, scale: float) -> np.ndarray:
+    """Entry i is ``scale * (d_j + d_k)`` over the two sums containing s_i.
+
+    Rows of singular spectra are NaN.
+    """
+    out = scale * (d.take(_PAIRS[1], axis=-1) + d.take(_PAIRS[0], axis=-1))
+    if out.ndim > 1:
+        out[singular] = np.nan
+    return out
+
+
+def _c1(d: np.ndarray, singular: np.ndarray) -> np.ndarray:
+    return _diagonal(1.0 / d, singular, -0.5)
+
+
+def _c2(d: np.ndarray, singular: np.ndarray) -> np.ndarray:
+    return _diagonal(1.0 / _square(d), singular, -0.125)
 
 
 def c1(s: np.ndarray) -> np.ndarray:
     """First-order diagonal correction to E[R] in the SVD basis.
 
     Entry i is -1/2 * (1/(s_i + s_j) + 1/(s_i + s_k)) with j, k the other
-    two indices.  Requires all pairwise sums positive.
+    two indices.  Requires all pairwise sums positive: a single spectrum
+    raises ``ExpansionSingularError``, and in a stack ``(..., 3)`` the
+    rows of singular spectra (see ``expansion_singular``) are NaN.
     """
-    s = _check_spectrum(s)
-    d = _pairwise_sums(s)
-    # entry i uses the two pairwise sums containing s_i, i.e. all but d[i]
-    return np.array(
-        [
-            -0.5 * (1.0 / d[2] + 1.0 / d[1]),
-            -0.5 * (1.0 / d[2] + 1.0 / d[0]),
-            -0.5 * (1.0 / d[1] + 1.0 / d[0]),
-        ]
-    )
+    return _c1(*_safe_sums(s))
 
 
 def c2(s: np.ndarray) -> np.ndarray:
-    """Second-order diagonal correction, -1/8 of the squared-denominator sums."""
-    s = _check_spectrum(s)
-    d = _pairwise_sums(s)
-    return np.array(
-        [
-            -0.125 * (1.0 / d[2] ** 2 + 1.0 / d[1] ** 2),
-            -0.125 * (1.0 / d[2] ** 2 + 1.0 / d[0] ** 2),
-            -0.125 * (1.0 / d[1] ** 2 + 1.0 / d[0] ** 2),
-        ]
-    )
+    """Second-order diagonal correction, -1/8 of the squared-denominator sums.
+
+    Singular spectra are handled as in ``c1``.
+    """
+    return _c2(*_safe_sums(s))
 
 
-def mf_mean_laplace(a: np.ndarray, sigma: float, order: int) -> np.ndarray:
+class LaplaceMean(NamedTuple):
+    """Batched ``mf_mean_laplace``: means ``(..., 3, 3)`` and the singular mask."""
+
+    mean: np.ndarray
+    singular: np.ndarray
+
+
+def mf_mean_laplace(a: np.ndarray, sigma: float, order: int) -> np.ndarray | LaplaceMean:
     """Closed-form approximation of E[R] under MF(R; a / sigma**2).
 
     ``a`` is the unscaled cross-covariance ``y.T @ x``; the concentration
@@ -123,15 +170,23 @@ def mf_mean_laplace(a: np.ndarray, sigma: float, order: int) -> np.ndarray:
     ``order`` (0, 1 or 2).  Order 0 is exactly the alignment rotation.
     Higher orders are generally not rotation matrices: they approximate
     a mean, which lies inside the convex hull of SO(3).
+
+    A single ``(3, 3)`` input returns the mean and raises
+    ``ExpansionSingularError`` on a singular spectrum.  A stack
+    ``(..., 3, 3)`` returns ``LaplaceMean(mean, singular)``: the means of
+    singular items are NaN and flagged in the mask.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
     u, s, v = proper_svd(np.asarray(a, dtype=float))
-    d = np.ones(3)
+    d = np.ones(s.shape)
+    singular = np.zeros(s.shape[:-1], dtype=bool)
     if order >= 1:
-        d = d + sigma**2 * c1(s)
+        sums, singular = _safe_sums(s)
+        d = d + sigma**2 * _c1(sums, singular)
     if order >= 2:
-        d = d + sigma**4 * c2(s)
-    return (u * d) @ v.T
+        d = d + sigma**4 * _c2(sums, singular)
+    mean = (u * d[..., None, :]) @ transpose(v)
+    return mean if s.ndim == 1 else LaplaceMean(mean, singular)

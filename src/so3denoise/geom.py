@@ -6,6 +6,9 @@ Conventions used throughout the package:
   one point per row.  Centered clouds have zero column sums.
 * A rotation is a ``(3, 3)`` proper orthogonal matrix.  A rotation ``r``
   acts on a cloud ``pc`` as ``pc @ r.T`` (each row rotated independently).
+* ``center``, ``rotate`` and ``proper_svd`` also take stacks: leading
+  axes in front of ``(N, 3)`` or ``(3, 3)`` are batch axes, and each
+  item of a stack gets bit for bit the result of a call on that item.
 * Random draws always take an explicit ``numpy.random.Generator``; there
   is no hidden global state and every function here is pure.
 """
@@ -29,15 +32,23 @@ class ProperSvd(NamedTuple):
     v: np.ndarray
 
 
+def transpose(m: np.ndarray) -> np.ndarray:
+    """Swap the last two axes: ``m.T`` of every matrix in a stack."""
+    return m.swapaxes(-1, -2)
+
+
 def center(pc: np.ndarray) -> np.ndarray:
     """Subtract the centroid so each coordinate column sums to zero."""
     pc = np.asarray(pc, dtype=float)
-    return pc - pc.mean(axis=0)
+    return pc - pc.mean(axis=-2, keepdims=True)
 
 
 def rotate(r: np.ndarray, pc: np.ndarray) -> np.ndarray:
-    """Apply a rotation (or any 3x3 matrix) to every point of a cloud."""
-    return np.asarray(pc, dtype=float) @ np.asarray(r, dtype=float).T
+    """Apply a rotation (or any 3x3 matrix) to every point of a cloud.
+
+    Stacks ``(..., 3, 3)`` and ``(..., N, 3)`` rotate item by item.
+    """
+    return np.asarray(pc, dtype=float) @ transpose(np.asarray(r, dtype=float))
 
 
 def frobenius_norm_sq(pc: np.ndarray) -> float:
@@ -71,6 +82,17 @@ def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
     return m
 
 
+def haar_from_normals(q: np.ndarray) -> np.ndarray:
+    """Rotations from standard-normal 4-vectors ``(..., 4)``.
+
+    Normalizing four independent standard normals gives a uniform unit
+    quaternion, so the result is Haar distributed; ``sample_haar`` is
+    this applied to fresh draws.
+    """
+    q = np.asarray(q, dtype=float)
+    return _quat_to_matrix(q / np.linalg.norm(q, axis=-1, keepdims=True))
+
+
 def sample_haar(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Draw uniformly distributed rotations (Haar measure on SO(3)).
 
@@ -80,37 +102,32 @@ def sample_haar(rng: np.random.Generator, size: int | None = None) -> np.ndarray
     ``(size, 3, 3)``.
     """
     n = 1 if size is None else int(size)
-    q = rng.standard_normal((n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    m = _quat_to_matrix(q)
+    m = haar_from_normals(rng.standard_normal((n, 4)))
     return m[0] if size is None else m
 
 
 def proper_svd(a: np.ndarray) -> ProperSvd:
-    """Sign-corrected SVD of a 3x3 matrix.
+    """Sign-corrected SVD of a 3x3 matrix or a ``(..., 3, 3)`` stack.
 
     Computes an ordinary SVD and, for each factor with negative
     determinant, negates its last column together with the sign of the
     smallest singular value.  If both factors are improper, both columns
-    flip and ``s[2]`` is unchanged.
+    flip and ``s[2]`` is unchanged.  Stacks give ``u``, ``v`` of shape
+    ``(..., 3, 3)`` and ``s`` of shape ``(..., 3)``.
 
     Raises ``ValueError`` on non-finite input.
     """
     a = np.asarray(a, dtype=float)
-    if a.shape != (3, 3):
+    if a.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("proper_svd requires finite input")
     u, s, vt = np.linalg.svd(a)
-    u = u.copy()
-    v = vt.T.copy()
-    s = s.copy()
-    if np.linalg.det(u) < 0:
-        u[:, 2] *= -1.0
-        s[2] *= -1.0
-    if np.linalg.det(v) < 0:
-        v[:, 2] *= -1.0
-        s[2] *= -1.0
+    v = transpose(vt).copy()
+    for factor in (u, v):
+        sign = np.sign(np.linalg.det(factor))  # det is +-1: -1 where the factor is improper
+        factor[..., 2] *= sign[..., None]
+        s[..., 2] *= sign
     return ProperSvd(u, s, v)
 
 

@@ -191,6 +191,9 @@ def run(fast: bool = False) -> int:
         except AssertionError as exc:
             failures += 1
             print(f"FAIL {name}: {exc}")
+        except Exception as exc:  # a crashing check fails; the others still run
+            failures += 1
+            print(f"FAIL {name}: {type(exc).__name__}: {exc}")
         else:
             print(f"ok   {name}")
     print(f"{len(_CHECKS) - failures}/{len(_CHECKS)} checks passed")

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import so3denoise
+import so3denoise.selftest
 from so3denoise.cli import main
+from so3denoise.diffusion import MlpDenoiser, save_denoiser
 from so3denoise.geom import is_rotation, proper_svd
 from so3denoise.estimators import read_sweep_csv
 from so3denoise.trajectory import load_trajectory, save_trajectory, synth_trajectory
@@ -122,6 +124,31 @@ def test_runtime_error_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, values",
+    [
+        ("train", ["--sigma", "nan"]),
+        ("train", ["--sigma", "inf"]),
+        ("train", ["--sigma", "0.5", "--lr", "nan"]),
+        ("train", ["--sigma", "0.5", "--lr", "inf"]),
+        ("sample", ["--schedule", "inf,0"]),
+        ("sample", ["--schedule", "nan,0"]),
+        ("sample", ["--schedule", "1,nan,0"]),
+    ],
+)
+def test_non_finite_parameters_exit_1(capsys, tmp_path, traj_path, command, values):
+    model = tmp_path / "model.bin"
+    save_denoiser(MlpDenoiser.initialize(8, 4, 1.0, np.random.default_rng(0)), model)
+    rest = {
+        "train": ["--input", traj_path, "--estimator", "order0", "--steps", "2",
+                  "--out-metrics", str(tmp_path / "m.csv"), "--out-model", str(tmp_path / "t.bin")],
+        "sample": ["--model", str(model), "--out", str(tmp_path / "s.xyz")],
+    }[command]
+    assert main([command, *values, *rest]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists() and not (tmp_path / "s.xyz").exists()
+
+
 def test_selftest_fast_passes(capsys):
     assert main(["selftest", "--fast"]) == 0
     out = capsys.readouterr().out
@@ -129,10 +156,23 @@ def test_selftest_fast_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_selftest_reports_a_raising_check_and_runs_the_rest(capsys, monkeypatch):
+    def raising(fast):
+        raise ValueError("no such spectrum")
+
+    checks = [("first", lambda fast: None), ("raises", raising), ("last", lambda fast: None)]
+    monkeypatch.setattr(so3denoise.selftest, "_CHECKS", checks)
+    assert main(["selftest", "--fast"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["ok   first", "FAIL raises: ValueError: no such spectrum", "ok   last",
+                   "2/3 checks passed"]
+
+
 _NO_SCIPY_SCRIPT = """
 import sys
 import numpy as np
 from so3denoise.cli import main
+from so3denoise.diffusion import MlpDenoiser, save_denoiser
 from so3denoise.fisher import MatrixFisher
 from so3denoise.quadrature import mf_mean_quadrature
 from so3denoise.trajectory import save_trajectory, synth_trajectory

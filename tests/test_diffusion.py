@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from so3denoise.align import aligned_rmsd, rmsd
 from so3denoise.diffusion import (
     DdimSchedule,
     MlpDenoiser,
+    StepMetrics,
     TrainConfig,
+    TrainResult,
     ddim_sample,
     load_denoiser,
     loss_and_grad,
@@ -16,9 +19,10 @@ from so3denoise.diffusion import (
     train,
     write_metrics_csv,
 )
-from so3denoise.estimators import EstimatorKind
+from so3denoise.estimators import EstimatorKind, estimator_target
+from so3denoise.fisher import ExpansionSingularError
 from so3denoise.geom import center, frobenius_norm_sq, rotate, sample_haar
-from so3denoise.quadrature import oracle_conditional_denoiser
+from so3denoise.quadrature import NoConvergenceError, oracle_conditional_denoiser
 from so3denoise.trajectory import synth_trajectory
 
 
@@ -206,6 +210,16 @@ def test_ddim_schedule_validation():
         DdimSchedule((0.5, 1.0, 0.0))
     with pytest.raises(ValueError):
         DdimSchedule((0.0,))
+    for sigmas in ((np.inf, 0.0), (np.nan, 0.0), (1.0, np.nan, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            DdimSchedule(sigmas)
+
+
+@pytest.mark.parametrize("field", ["sigma", "lr"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_train_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        TrainConfig(**{"sigma": 0.5, "estimator": "order0", "steps": 1, field: value})
 
 
 def test_ddim_one_step_equivariance_with_oracle(traj):
@@ -268,3 +282,120 @@ def test_metrics_csv_round_trip(tmp_path, traj):
     assert lines[0] == "step,loss,rmsd,aligned_rmsd,n_excluded"
     assert len(lines) == len(result.metrics) + 1
     assert read_metrics_csv(path) == result.metrics
+
+
+def _reference_train(cfg, frames, probe_size=16, tol=1e-8):
+    """Per-sample training loop that ``train`` replaced, kept as its reference.
+
+    Every draw goes through ``noise_sample``, every target, prediction and
+    metric through a scalar call; the gradient and Adam arithmetic is
+    written out as before.
+    """
+    frames = np.asarray(frames, dtype=float)
+    s_ref = float(np.sqrt(np.mean(np.sum(frames[0] ** 2, axis=1))))
+    rng = np.random.default_rng(cfg.seed)
+    model = MlpDenoiser.initialize(frames.shape[1], cfg.hidden, s_ref, rng)
+
+    def draw_batch(size):
+        items = []
+        for _ in range(size):
+            x = frames[0] if cfg.dataset_mode == "single-frame" else frames[rng.integers(len(frames))]
+            y, r_aug = noise_sample(x, cfg.sigma, rng)
+            items.append((y, x, r_aug))
+        return items
+
+    def targets(batch):
+        kept, ts = [], []
+        for y, x, r_aug in batch:
+            try:
+                t = estimator_target(
+                    cfg.estimator, y, x, cfg.sigma,
+                    r_aug=r_aug if cfg.estimator is EstimatorKind.AUG else None, tol=tol,
+                )
+            except (ExpansionSingularError, NoConvergenceError):
+                continue
+            kept.append(y)
+            ts.append(t)
+        return kept, ts
+
+    def probe_metrics():
+        pairs = [(mlp_forward(model, y, cfg.sigma), x, r_aug) for y, x, r_aug in probe]
+        return (
+            float(np.mean([rmsd(p, rotate(r_aug, x)) for p, x, r_aug in pairs])),
+            float(np.mean([aligned_rmsd(p, x) for p, x, _ in pairs])),
+        )
+
+    def features(ys):
+        feats = np.empty((len(ys), 3 * model.n_points + 2))
+        feats[:, :-2] = ys.reshape(len(ys), -1) / model.s_ref
+        feats[:, -2] = np.log(cfg.sigma)
+        feats[:, -1] = 1.0
+        return feats
+
+    probe = draw_batch(probe_size)
+    probe_kept, probe_targets = targets(probe)
+    loss0 = float("nan")
+    if probe_targets:
+        preds = np.stack([mlp_forward(model, y, cfg.sigma) for y in probe_kept])
+        loss0 = float(np.sum((preds - np.stack(probe_targets)) ** 2) / len(probe_targets))
+    metrics = [StepMetrics(0, loss0, *probe_metrics(), 0)]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    moment1 = {k: np.zeros_like(v) for k, v in model.params().items()}
+    moment2 = {k: np.zeros_like(v) for k, v in model.params().items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, cfg.steps + 1):
+            batch = draw_batch(cfg.batch)
+            kept, ts = targets(batch)
+            if not kept:
+                return TrainResult(model, metrics, "diverged", step)
+            ys, ts = np.stack(kept), np.stack(ts)
+            b = len(ys)
+            feats = features(ys)
+            hidden = np.tanh(feats @ model.w1.T + model.b1)
+            out = (hidden @ model.w2.T + model.b2).reshape(ys.shape)
+            diff = out - out.mean(axis=1, keepdims=True) - ts
+            loss = float(np.sum(diff * diff) / b)
+            if not np.isfinite(loss):
+                return TrainResult(model, metrics, "diverged", step)
+            g_out = 2.0 * diff / b
+            g_flat = (g_out - g_out.mean(axis=1, keepdims=True)).reshape(b, -1)
+            g_pre = (g_flat @ model.w2) * (1.0 - hidden * hidden)
+            grads = {"w2": g_flat.T @ hidden, "b2": g_flat.sum(axis=0),
+                     "w1": g_pre.T @ feats, "b1": g_pre.sum(axis=0)}
+            for name, g in grads.items():
+                moment1[name] = beta1 * moment1[name] + (1 - beta1) * g
+                moment2[name] = beta2 * moment2[name] + (1 - beta2) * g * g
+                m_hat = moment1[name] / (1 - beta1**step)
+                v_hat = moment2[name] / (1 - beta2**step)
+                setattr(model, name, getattr(model, name) - cfg.lr * m_hat / (np.sqrt(v_hat) + eps))
+            if not all(np.all(np.isfinite(p)) for p in model.params().values()):
+                return TrainResult(model, metrics, "diverged", step)
+            metrics.append(StepMetrics(step, loss, *probe_metrics(), len(batch) - b))
+    return TrainResult(model, metrics, "completed", None)
+
+
+@pytest.mark.parametrize("mode", ["all-frames", "single-frame"])
+@pytest.mark.parametrize("kind", ["aug", "order0", "order1", "order2"])
+def test_train_bit_identical_to_per_sample_loop(tmp_path, traj, kind, mode):
+    cfg = TrainConfig(sigma=0.5, estimator=kind, steps=20, batch=8, seed=11, dataset_mode=mode)
+    got, want = train(cfg, traj.frames), _reference_train(cfg, traj.frames)
+    assert got.status == want.status == "completed"
+    assert got.metrics == want.metrics
+    for result, name in ((got, "got.bin"), (want, "want.bin")):
+        save_denoiser(result.model, tmp_path / name, seed=cfg.seed, config=cfg)
+    assert (tmp_path / "got.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
+
+
+def test_train_excludes_singular_targets_like_per_sample_loop(traj):
+    # order-2 targets of a collinear frame are expansion-singular: mixed with a
+    # generic frame some samples are excluded, alone the whole batch is
+    line = np.zeros((8, 3))
+    line[:, 0] = np.linspace(-1.0, 1.0, 8)
+    cfg = TrainConfig(sigma=0.5, estimator="order2", steps=15, batch=8, seed=2)
+    for frames, status in ((np.stack([line, traj.frames[0]]), "completed"), (line[None], "diverged")):
+        got, want = train(cfg, frames), _reference_train(cfg, frames)
+        assert want.status == status
+        assert (got.status, got.diverged_at) == (want.status, want.diverged_at)
+        assert repr(got.metrics) == repr(want.metrics)  # row 0's loss is NaN when all are excluded
+        if status == "completed":
+            assert sum(m.n_excluded for m in want.metrics) > 0
