@@ -30,7 +30,7 @@ from .estimators import (
     sweep_aug_anomalies,
     write_sweep_csv,
 )
-from .fisher import MatrixFisher, mf_mean_laplace
+from .fisher import mf_from_observation, mf_mean_laplace
 from .geom import rotate
 from .quadrature import mf_mean_quadrature
 from .trajectory import Trajectory, load_trajectory, save_trajectory
@@ -68,8 +68,7 @@ def _cmd_moment(args) -> int:
     x = _frame(traj, args.frame)
     a = x.T @ x  # moment of the posterior for observing the frame itself
     if args.order == "oracle":
-        p = MatrixFisher(a / args.sigma**2)
-        moment = mf_mean_quadrature(p, args.tol)
+        moment = mf_mean_quadrature(mf_from_observation(x, x, args.sigma), args.tol)
         errors = {}
         for order in (0, 1, 2):
             approx = mf_mean_laplace(a, args.sigma, order)

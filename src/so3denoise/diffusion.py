@@ -10,7 +10,6 @@ that produces non-finite losses or parameters terminates with a
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
@@ -18,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .align import aligned_rmsd, rmsd
-from .estimators import EstimatorKind, estimator_target
+from .estimators import EstimatorKind, _read_csv, _write_csv, estimator_target
 from .geom import center, haar_from_normals, rotate
 
 _PARAM_FIELDS = ("w1", "b1", "w2", "b2")
@@ -336,24 +335,12 @@ METRICS_CSV_HEADER = ["step", "loss", "rmsd", "aligned_rmsd", "n_excluded"]
 
 
 def write_metrics_csv(metrics: list[StepMetrics], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRICS_CSV_HEADER)
-        for row in metrics:
-            writer.writerow([row.step, repr(row.loss), repr(row.rmsd),
-                             repr(row.aligned_rmsd), row.n_excluded])
+    _write_csv(path, METRICS_CSV_HEADER, metrics)
 
 
 def read_metrics_csv(path) -> list[StepMetrics]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != METRICS_CSV_HEADER:
-            raise ValueError(f"unexpected metrics CSV header: {header}")
-        return [
-            StepMetrics(int(r[0]), float(r[1]), float(r[2]), float(r[3]), int(r[4]))
-            for r in reader
-        ]
+    types = (int, float, float, float, int)
+    return [StepMetrics(*row) for row in _read_csv(path, METRICS_CSV_HEADER, types, "metrics")]
 
 
 def save_denoiser(model: MlpDenoiser, path, seed: int | None = None,

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .align import kabsch
-from .fisher import ExpansionSingularError, mf_from_observation, mf_mean_laplace
+from .fisher import ExpansionSingularError, _check_sigma, mf_from_observation, mf_mean_laplace
 from .geom import center, frobenius_norm_sq, rotate, sample_haar, transpose
 from .quadrature import NoConvergenceError, mf_mean_quadrature, oracle_conditional_denoiser
 
@@ -86,8 +86,7 @@ def estimator_target(
     kind = EstimatorKind(kind)
     if (r_aug is not None) != (kind is EstimatorKind.AUG):
         raise ValueError("r_aug must be given for AUG and only for AUG")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     batched = y.ndim > 2
@@ -189,8 +188,10 @@ def error_sweep(
     if n_noise < 1:
         raise ValueError(f"n_noise must be >= 1, got {n_noise}")
     sig = [float(s) for s in sigmas]
-    if any(s <= 0 for s in sig) or any(a >= b for a, b in zip(sig, sig[1:])):
-        raise ValueError("sigmas must be positive and strictly ascending")
+    for s in sig:
+        _check_sigma(s)
+    if any(a >= b for a, b in zip(sig, sig[1:])):
+        raise ValueError("sigmas must be strictly ascending")
 
     records = []
     for si, sigma in enumerate(sig):
@@ -224,28 +225,34 @@ def sweep_aug_anomalies(records: list[SweepRecord]) -> list[float]:
     return flagged
 
 
-def write_sweep_csv(records: list[SweepRecord], path) -> None:
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` with LF line ends and floats as ``repr``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_HEADER)
-        for r in records:
-            writer.writerow(
-                [repr(r.sigma), r.kind.value, repr(r.mean_mse), repr(r.stderr),
-                 r.n_samples, r.n_excluded, r.seed]
-            )
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def _read_csv(path, header: list[str], types: tuple, what: str) -> list[list]:
+    """Rows of a CSV with exactly ``header``, each field parsed by its entry in ``types``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        got = next(reader)
+        if got != header:
+            raise ValueError(f"unexpected {what} CSV header: {got}")
+        return [[parse(v) for parse, v in zip(types, row)] for row in reader]
+
+
+def write_sweep_csv(records: list[SweepRecord], path) -> None:
+    _write_csv(path, SWEEP_CSV_HEADER, (
+        (r.sigma, r.kind.value, r.mean_mse, r.stderr, r.n_samples, r.n_excluded, r.seed)
+        for r in records
+    ))
 
 
 def read_sweep_csv(path) -> list[SweepRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != SWEEP_CSV_HEADER:
-            raise ValueError(f"unexpected sweep CSV header: {header}")
-        return [
-            SweepRecord(float(row[0]), EstimatorKind(row[1]), float(row[2]),
-                        float(row[3]), int(row[4]), int(row[5]), int(row[6]))
-            for row in reader
-        ]
+    types = (float, EstimatorKind, float, float, int, int, int)
+    return [SweepRecord(*row) for row in _read_csv(path, SWEEP_CSV_HEADER, types, "sweep")]
 
 
 def averaging_offset_check(

@@ -44,10 +44,15 @@ class MatrixFisher:
         object.__setattr__(self, "f", f)
 
 
+def _check_sigma(sigma: float) -> None:
+    """Reject a noise level that is not positive and finite (NaN included)."""
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+
+
 def mf_from_observation(y: np.ndarray, x: np.ndarray, sigma: float) -> MatrixFisher:
     """Rotation-posterior parameters for observing ``y`` of ``x`` at noise ``sigma``."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if y.shape != x.shape:
@@ -176,8 +181,7 @@ def mf_mean_laplace(a: np.ndarray, sigma: float, order: int) -> np.ndarray | Lap
     ``(..., 3, 3)`` returns ``LaplaceMean(mean, singular)``: the means of
     singular items are NaN and flagged in the mask.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
     u, s, v = proper_svd(np.asarray(a, dtype=float))

@@ -2,39 +2,30 @@
 
 Each test prints a single PASS line once its criterion holds, so running
 ``pytest tests/test_acceptance.py -v -s`` gives a per-criterion report.
+The invariant bodies live in :mod:`so3denoise.selftest`, which runs them
+at reduced sizes; each test here fixes the criterion's seed, sample
+counts and runtime cap.
 """
 
 import time
 
 import numpy as np
-import pytest
 
-from so3denoise.align import kabsch
-from so3denoise.diffusion import (
-    DdimSchedule,
-    MlpDenoiser,
-    TrainConfig,
-    ddim_sample,
-    loss_and_grad,
-    noise_sample,
-    train,
+from so3denoise.diffusion import TrainConfig, noise_sample, train
+from so3denoise.estimators import EstimatorKind, error_sweep
+from so3denoise.fisher import MatrixFisher
+from so3denoise.geom import frobenius_norm_sq, rotate, sample_haar
+from so3denoise.quadrature import mf_partition, so3_grid_global
+from so3denoise.selftest import (
+    alignment_commutation,
+    averaging_offset,
+    ddim_closed_forms,
+    grid_moments,
+    kabsch_optimality,
+    laplace_vs_quadrature,
+    mlp_gradients,
+    oracle_symmetries,
 )
-from so3denoise.estimators import (
-    EstimatorKind,
-    averaging_offset_check,
-    error_sweep,
-    estimator_target,
-)
-from so3denoise.fisher import MatrixFisher, mf_mean_laplace
-from so3denoise.geom import (
-    _quat_to_matrix,
-    center,
-    frobenius_norm_sq,
-    proper_svd,
-    rotate,
-    sample_haar,
-)
-from so3denoise.quadrature import mf_mean_quadrature, mf_partition, so3_grid_global
 from so3denoise.trajectory import synth_trajectory
 
 
@@ -42,86 +33,22 @@ def _report(criterion: int, detail: str) -> None:
     print(f"ACCEPT C{criterion:02d} PASS {detail}")
 
 
-def _homogeneous_gain_matrix(a: np.ndarray) -> np.ndarray:
-    """4x4 K with q^T K q = <R(q/|q|), a> * |q|^2, built by polarization.
-
-    Uses the same quaternion-to-matrix conversion as the sampler, so the
-    quadratic form cannot drift from the sampled rotations.
-    """
-
-    def g(q):
-        q = np.asarray(q, dtype=float)
-        n2 = q @ q
-        return float(np.sum(_quat_to_matrix(q / np.sqrt(n2)) * a)) * n2
-
-    k = np.zeros((4, 4))
-    basis = np.eye(4)
-    diag = [g(basis[i]) for i in range(4)]
-    for i in range(4):
-        k[i, i] = diag[i]
-        for j in range(i + 1, 4):
-            k[i, j] = k[j, i] = 0.5 * (g(basis[i] + basis[j]) - diag[i] - diag[j])
-    return k
-
-
 def test_c01_kabsch_optimality_brute_force():
     start = time.time()
-    rng = np.random.default_rng(101)
-    n_rot = 1_000_000
-    for trial in range(100):
-        x = center(rng.standard_normal((8, 3)))
-        y = center(rng.standard_normal((8, 3)))
-        a = y.T @ x
-        best_obj = frobenius_norm_sq(y - rotate(kabsch(y, x).rotation, x))
-        k = _homogeneous_gain_matrix(a)
-        q = rng.standard_normal((n_rot, 4))
-        gains = np.einsum("ni,ni->n", q @ k, q) / np.einsum("ni,ni->n", q, q)
-        if trial == 0:
-            # validate the quadratic form against direct conversion on a subsample
-            sub = q[:1000]
-            direct = np.einsum(
-                "ij,nij->n", a, _quat_to_matrix(sub / np.linalg.norm(sub, axis=1, keepdims=True))
-            )
-            assert np.max(np.abs(direct - np.einsum("ni,ni->n", sub @ k, sub)
-                                 / np.einsum("ni,ni->n", sub, sub))) < 1e-12
-        sampled_obj = frobenius_norm_sq(y) + frobenius_norm_sq(x) - 2.0 * gains.max()
-        assert best_obj <= sampled_obj, f"trial {trial}: {best_obj} > {sampled_obj}"
+    kabsch_optimality(np.random.default_rng(101), n_pairs=100, n_rot=1_000_000)
     elapsed = time.time() - start
     assert elapsed < 30.0, f"runtime {elapsed:.1f}s exceeds 30s"
     _report(1, f"100 pairs beat 1e6 sampled rotations each ({elapsed:.1f}s)")
 
 
 def test_c02_alignment_augmentation_commutation():
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(1000):
-        x = center(rng.standard_normal((8, 3)))
-        y = center(rotate(sample_haar(rng), x) + 0.3 * rng.standard_normal((8, 3)))
-        r = sample_haar(rng)
-        lhs = kabsch(rotate(r, y), rotate(r, x)).rotation
-        rhs = r @ kabsch(y, x).rotation @ r.T
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    assert worst < 1e-10, f"max Frobenius deviation {worst}"
+    worst = alignment_commutation(np.random.default_rng(102), n_triples=1000)
     _report(2, f"1000 triples, max deviation {worst:.2e}")
 
 
 def test_c03_expansion_slopes_against_quadrature():
     start = time.time()
-    rng = np.random.default_rng(2024)
-    x = center(rng.standard_normal((8, 3)))
-    y = center(rotate(sample_haar(rng), x) + 0.15 * rng.standard_normal((8, 3)))
-    a = y.T @ x
-    a /= proper_svd(a).s[0]  # unit-scale spectrum
-    sigmas = np.array([0.05, 0.08, 0.12, 0.2, 0.3])
-    errs = {0: [], 1: [], 2: []}
-    for s in sigmas:
-        exact = mf_mean_quadrature(MatrixFisher(a / s**2), tol=1e-8)
-        for k in errs:
-            errs[k].append(np.max(np.abs(mf_mean_laplace(a, s, k) - exact)))
-    slopes = {}
-    for k, floor in ((0, 1.5), (1, 3.5), (2, 4.5)):
-        slopes[k] = float(np.polyfit(np.log(sigmas), np.log(errs[k]), 1)[0])
-        assert slopes[k] >= floor, f"order {k}: slope {slopes[k]} < {floor}"
+    slopes = laplace_vs_quadrature(np.random.default_rng(2024))
     elapsed = time.time() - start
     assert elapsed < 300.0
     _report(3, f"slopes {slopes[0]:.2f}/{slopes[1]:.2f}/{slopes[2]:.2f} ({elapsed:.1f}s)")
@@ -150,47 +77,19 @@ def test_c04_sweep_reproduces_error_hierarchy():
 
 
 def test_c05_oracle_equivariance_and_invariance():
-    rng = np.random.default_rng(105)
-    tol = 1e-8
-    worst_equi = worst_inv = 0.0
-    for _ in range(100):
-        x = center(rng.standard_normal((8, 3)))
-        sigma = float(rng.uniform(0.05, 0.15)) * np.sqrt(frobenius_norm_sq(x) / 8)
-        y = center(rotate(sample_haar(rng), x) + sigma * rng.standard_normal((8, 3)))
-        r = sample_haar(rng)
-        scale = np.sqrt(frobenius_norm_sq(x))
-        base = estimator_target(EstimatorKind.ORACLE, y, x, sigma, tol=tol)
-        equi = estimator_target(EstimatorKind.ORACLE, rotate(r, y), x, sigma, tol=tol)
-        worst_equi = max(worst_equi, float(np.max(np.abs(equi - rotate(r, base)))) / (tol * scale))
-        inv = estimator_target(EstimatorKind.ORACLE, y, rotate(r, x), sigma, tol=tol)
-        worst_inv = max(worst_inv, float(np.max(np.abs(inv - base))) / (tol * scale))
-    assert worst_equi < 2.0 and worst_inv < 2.0
+    worst_equi, worst_inv = oracle_symmetries(np.random.default_rng(105), n_draws=100)
     _report(5, f"100 checks each; worst dev/(tol*|x|) {worst_equi:.2e} / {worst_inv:.2e}, bound 2")
 
 
 def test_c06_averaging_offset_lemma():
-    rng = np.random.default_rng(106)
-    tol = 1e-8
-    for _ in range(20):
-        x = center(rng.standard_normal((8, 3)))
-        sigma = float(rng.uniform(0.1, 0.4))
-        y = center(rotate(sample_haar(rng), x) + sigma * rng.standard_normal((8, 3)))
-        probes = [x, np.zeros_like(x), center(rng.standard_normal(x.shape))]
-        spread = averaging_offset_check(y, x, sigma, probes, tol=tol)
-        assert spread < 4 * tol * frobenius_norm_sq(x), f"spread {spread}"
+    averaging_offset(np.random.default_rng(106), n_instances=20)
     _report(6, "20 instances x 3 probes within 4*tol*|x|^2")
 
 
 def test_c07_ddim_invariance():
     from so3denoise.quadrature import oracle_conditional_denoiser
 
-    # closed forms first
-    schedule = DdimSchedule((1.0, 0.5, 0.2, 0.0))
-    seed_rng = np.random.default_rng(71)
-    out = ddim_sample(lambda y, s: y, schedule, 8, np.random.default_rng(71))
-    np.testing.assert_array_equal(out, center(1.0 * seed_rng.standard_normal((8, 3))))
-    zero = ddim_sample(lambda y, s: np.zeros_like(y), schedule, 8, np.random.default_rng(72))
-    np.testing.assert_array_equal(zero, np.zeros((8, 3)))
+    ddim_closed_forms(71, n_points=8)
 
     rng = np.random.default_rng(107)
     x_ref = synth_trajectory(8, 1, 0.0, seed=11).frames[0]
@@ -212,30 +111,7 @@ def test_c07_ddim_invariance():
 
 
 def test_c08_gradient_check():
-    rng = np.random.default_rng(108)
-    h = 1e-5
-    checked = 0
-    for _ in range(20):
-        model = MlpDenoiser.initialize(4, 8, 1.0, rng)
-        x = center(rng.standard_normal((4, 3)))
-        batch = []
-        for _ in range(2):
-            y, r_aug = noise_sample(x, 0.3, rng)
-            batch.append((y, x, r_aug))
-        grads = loss_and_grad(model, batch, 0.3, EstimatorKind.ORDER0).grads
-        for name, grad in grads.items():
-            p = getattr(model, name)
-            for idx in np.ndindex(*p.shape):
-                p[idx] += h
-                lp = loss_and_grad(model, batch, 0.3, EstimatorKind.ORDER0).loss
-                p[idx] -= 2 * h
-                lm = loss_and_grad(model, batch, 0.3, EstimatorKind.ORDER0).loss
-                p[idx] += h
-                fd = (lp - lm) / (2 * h)
-                assert abs(grad[idx] - fd) <= 1e-5 * max(abs(grad[idx]), abs(fd), 1e-4), (
-                    f"{name}{idx}: analytic {grad[idx]} vs fd {fd}"
-                )
-                checked += 1
+    checked = mlp_gradients(np.random.default_rng(108), n_models=20)
     _report(8, f"{checked} parameter gradients match central differences")
 
 
@@ -274,12 +150,7 @@ def test_c09_training_smoke():
 
 
 def test_c10_quadrature_sanity():
-    g = so3_grid_global(16)
-    assert abs(g.weights.sum() - 1.0) <= 1e-12
-    mean = np.einsum("n,nij->ij", g.weights, g.rotations)
-    assert np.max(np.abs(mean)) <= 1e-10
-    tr = np.trace(g.rotations, axis1=1, axis2=2)
-    assert abs(np.sum(g.weights * tr * tr) - 1.0) <= 1e-8
+    grid_moments(16)
 
     p = MatrixFisher(np.diag([5.0, 4.0, 3.0]))
     z32 = mf_partition(p, so3_grid_global(32))

@@ -134,19 +134,29 @@ def test_runtime_error_exits_1(capsys):
         ("sample", ["--schedule", "inf,0"]),
         ("sample", ["--schedule", "nan,0"]),
         ("sample", ["--schedule", "1,nan,0"]),
+        ("moment", ["--sigma", "nan", "--order", "1"]),
+        ("moment", ["--sigma", "inf", "--order", "2"]),
+        ("moment", ["--sigma", "nan"]),
+        ("sweep", ["--sigmas", "0.1,nan"]),
+        ("sweep", ["--sigmas", "0.1,inf"]),
     ],
 )
 def test_non_finite_parameters_exit_1(capsys, tmp_path, traj_path, command, values):
     model = tmp_path / "model.bin"
     save_denoiser(MlpDenoiser.initialize(8, 4, 1.0, np.random.default_rng(0)), model)
-    rest = {
-        "train": ["--input", traj_path, "--estimator", "order0", "--steps", "2",
-                  "--out-metrics", str(tmp_path / "m.csv"), "--out-model", str(tmp_path / "t.bin")],
-        "sample": ["--model", str(model), "--out", str(tmp_path / "s.xyz")],
+    rest, message = {
+        "train": (["--input", traj_path, "--estimator", "order0", "--steps", "2",
+                   "--out-metrics", str(tmp_path / "m.csv"), "--out-model", str(tmp_path / "t.bin")],
+                  "finite"),
+        "sample": (["--model", str(model), "--out", str(tmp_path / "s.xyz")], "finite"),
+        "moment": (["--input", traj_path], "sigma must be positive and finite"),
+        "sweep": (["--input", traj_path, "--n-noise", "2", "--seed", "0",
+                   "--out", str(tmp_path / "w.csv")], "sigma must be positive and finite"),
     }[command]
     assert main([command, *values, *rest]) == 1
-    assert "finite" in capsys.readouterr().err
-    assert not (tmp_path / "m.csv").exists() and not (tmp_path / "s.xyz").exists()
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
 
 def test_selftest_fast_passes(capsys):
@@ -154,6 +164,14 @@ def test_selftest_fast_passes(capsys):
     out = capsys.readouterr().out
     assert "ok   grid-moments" in out
     assert "FAIL" not in out
+
+
+def test_selftest_runs_every_check_at_full_size(capsys):
+    assert main(["selftest"]) == 0
+    names = ["grid-moments", "expmap-density-mass", "geom-roundtrips", "kabsch-optimality",
+             "alignment-commutation", "expansion-coefficients", "laplace-vs-quadrature",
+             "oracle-symmetries", "mlp-gradients", "ddim-closed-forms", "averaging-offset"]
+    assert capsys.readouterr().out.splitlines() == [f"ok   {n}" for n in names] + ["11/11 checks passed"]
 
 
 def test_selftest_reports_a_raising_check_and_runs_the_rest(capsys, monkeypatch):
@@ -183,12 +201,14 @@ save_trajectory(synth_trajectory(8, 2, 0.1, seed=3), out_dir + "/t.xyz")
 code = main(["sweep", "--input", out_dir + "/t.xyz", "--frame", "0", "--sigmas", "0.1",
              "--n-noise", "2", "--seed", "1", "--out", out_dir + "/s.csv"])
 assert code == 0
+assert main(["selftest", "--fast"]) == 0
 assert "scipy" not in sys.modules, "scipy was imported"
 """
 
 
 def test_cli_oracle_and_sweep_do_not_import_scipy(tmp_path):
-    # scipy is a test-only dependency; importing it would bloat every CLI run
+    # scipy is a test-only dependency; importing it would bloat every CLI run, and
+    # selftest ships in the package
     src = str(Path(so3denoise.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

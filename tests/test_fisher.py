@@ -161,6 +161,10 @@ def test_mean_laplace_convergence_slopes():
     for k, floor in ((0, 1.5), (1, 3.5), (2, 5.5)):
         slope = np.polyfit(np.log(sigmas), np.log(errs[k]), 1)[0]
         assert slope >= floor, f"order {k}: slope {slope}"
+    # the rate alone does not bound the error: at sigma = 0.12 the orders rank and
+    # order 2 is within 1e-6
+    assert errs[0][2] > errs[1][2] > errs[2][2]
+    assert errs[2][2] <= 1e-6, f"order-2 error {errs[2][2]}"
 
 
 def test_mean_laplace_argument_validation():
@@ -168,3 +172,6 @@ def test_mean_laplace_argument_validation():
         mf_mean_laplace(np.eye(3), -0.1, 0)
     with pytest.raises(ValueError):
         mf_mean_laplace(np.eye(3), 0.1, 3)
+    for sigma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            mf_mean_laplace(np.eye(3), sigma, 0)

@@ -135,21 +135,6 @@ def test_oracle_uniform_limit():
     assert np.sqrt(frobenius_norm_sq(out)) < tol * np.sqrt(frobenius_norm_sq(x))
 
 
-def test_oracle_equivariance_and_conditioning_invariance():
-    rng = np.random.default_rng(3)
-    tol = 1e-8
-    for _ in range(10):
-        x = center(rng.standard_normal((8, 3)))
-        y = center(rotate(sample_haar(rng), x) + 0.1 * rng.standard_normal((8, 3)))
-        r = sample_haar(rng)
-        scale = np.sqrt(frobenius_norm_sq(x))
-        base = oracle_conditional_denoiser(y, x, 0.1, tol=tol)
-        equi = oracle_conditional_denoiser(rotate(r, y), x, 0.1, tol=tol)
-        assert np.max(np.abs(equi - rotate(r, base))) < 2 * tol * scale
-        inv = oracle_conditional_denoiser(y, rotate(r, x), 0.1, tol=tol)
-        assert np.max(np.abs(inv - base)) < 2 * tol * scale
-
-
 def test_oracle_vs_expansion_slope():
     rng = np.random.default_rng(4)
     x = center(rng.standard_normal((8, 3)))
