@@ -71,6 +71,7 @@ from .geom import (
 )
 from .quadrature import (
     NoConvergenceError,
+    OracleMean,
     So3Grid,
     mf_log_partition,
     mf_mean_quadrature,

@@ -26,7 +26,7 @@ import numpy as np
 from .align import kabsch
 from .fisher import ExpansionSingularError, _check_sigma, mf_from_observation, mf_mean_laplace
 from .geom import center, frobenius_norm_sq, rotate, sample_haar, transpose
-from .quadrature import NoConvergenceError, mf_mean_quadrature, oracle_conditional_denoiser
+from .quadrature import mf_mean_quadrature, oracle_conditional_denoiser
 
 SWEEP_CSV_HEADER = ["sigma", "kind", "mean_mse", "stderr", "n_samples", "n_excluded", "seed"]
 
@@ -97,12 +97,8 @@ def estimator_target(
     elif kind is EstimatorKind.ORACLE:
         if not batched:
             return oracle_conditional_denoiser(y, x, sigma, tol)
-        targets = np.full(y.shape, np.nan)
-        for i in np.ndindex(keep.shape):
-            try:
-                targets[i] = oracle_conditional_denoiser(y[i], x[i], sigma, tol)
-            except NoConvergenceError:
-                keep[i] = False
+        mean, keep = mf_mean_quadrature(transpose(y) @ x / sigma**2, tol)
+        targets = x @ transpose(mean)
     elif kind is EstimatorKind.ORDER0:
         rotation, degenerate = kabsch(y, x)
         if np.any(degenerate):
@@ -143,31 +139,6 @@ _SWEEP_KINDS = (
 )
 
 
-def _sweep_sample(x, sigma, seed, sigma_idx, sample_idx, tol):
-    """One sweep draw: per-kind MSE to the oracle, or None where excluded.
-
-    The RNG stream is derived from (seed, sigma index, sample index).
-    """
-    rng = np.random.default_rng([seed, sigma_idx, sample_idx])
-    r_aug = sample_haar(rng)
-    eta = rng.standard_normal(x.shape)
-    y = center(rotate(r_aug, x) + sigma * eta)
-    out: dict[EstimatorKind, float | None] = {}
-    try:
-        oracle = estimator_target(EstimatorKind.ORACLE, y, x, sigma, tol=tol)
-    except NoConvergenceError:
-        return {kind: None for kind in _SWEEP_KINDS}
-    for kind in _SWEEP_KINDS:
-        try:
-            target = estimator_target(
-                kind, y, x, sigma, r_aug=r_aug if kind is EstimatorKind.AUG else None, tol=tol
-            )
-            out[kind] = frobenius_norm_sq(target - oracle)
-        except ExpansionSingularError:
-            out[kind] = None
-    return out
-
-
 def error_sweep(
     x: np.ndarray,
     sigmas: list[float],
@@ -182,7 +153,9 @@ def error_sweep(
     estimator target against the oracle is averaged.  Samples whose
     target computation fails are excluded from the mean and counted in
     ``n_excluded``, never silently substituted.  Deterministic given
-    ``seed``.
+    ``seed``: each draw has its own stream from (seed, sigma index,
+    sample index).  All draws are made first, so one stacked oracle pass
+    covers every noise level.
     """
     x = np.asarray(x, dtype=float)
     if n_noise < 1:
@@ -193,9 +166,35 @@ def error_sweep(
     if any(a >= b for a, b in zip(sig, sig[1:])):
         raise ValueError("sigmas must be strictly ascending")
 
+    # every draw first, each from its own (seed, sigma index, sample index) stream
+    draws = []
+    for si, sigma in enumerate(sig):
+        for j in range(n_noise):
+            rng = np.random.default_rng([seed, si, j])
+            r_aug = sample_haar(rng)
+            y = center(rotate(r_aug, x) + sigma * rng.standard_normal(x.shape))
+            draws.append((sigma, y, r_aug))
+    # then one oracle pass over every draw of every noise level
+    concentrations = np.stack([mf_from_observation(y, x, sigma).f for sigma, y, _ in draws])
+    means, converged = mf_mean_quadrature(concentrations, tol)
+    oracles = x @ transpose(means)
+
+    scored = []  # per draw: each kind's MSE to the oracle, None where excluded
+    for (sigma, y, r_aug), oracle, ok in zip(draws, oracles, converged):
+        mse: dict[EstimatorKind, float | None] = dict.fromkeys(_SWEEP_KINDS)
+        for kind in _SWEEP_KINDS if ok else ():
+            try:
+                target = estimator_target(
+                    kind, y, x, sigma, r_aug=r_aug if kind is EstimatorKind.AUG else None, tol=tol
+                )
+            except ExpansionSingularError:
+                continue
+            mse[kind] = frobenius_norm_sq(target - oracle)
+        scored.append(mse)
+
     records = []
     for si, sigma in enumerate(sig):
-        samples = [_sweep_sample(x, sigma, seed, si, j, tol) for j in range(n_noise)]
+        samples = scored[si * n_noise : (si + 1) * n_noise]
         for kind in _SWEEP_KINDS:
             vals = np.array([s[kind] for s in samples if s[kind] is not None])
             n_ok = len(vals)

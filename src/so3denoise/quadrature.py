@@ -1,10 +1,9 @@
 """Deterministic numerical integration over SO(3).
 
-Provides the exact first moment of matrix Fisher distributions, the
-partition function on a global grid, and the quadrature-backed optimal
-conditional denoiser.  This is the ground-truth path: it shares no code
-with the closed-form expansion in :mod:`so3denoise.fisher`, so agreement
-between the two is evidence rather than tautology.
+The exact first moment of matrix Fisher distributions, the optimal
+conditional denoiser built on it, and a global grid with the partition
+function.  This ground-truth path shares no code with the expansion in
+:mod:`so3denoise.fisher`, so their agreement is evidence, not tautology.
 
 The first moment uses the canonical-frame 1-D Bessel representation of
 the matrix Fisher normalizer (Wood 1993; Lee, Leok & McClamroch 2018).
@@ -14,29 +13,33 @@ For the proper SVD ``f = U diag(s) V^T``, ``E[R] = U diag(d) V^T`` with
     g_k(u) = I0(a (1 - u)) I0(b (1 + u)) exp(s_k u),
 
 where ``a, b = (s_i -+ s_j) / 2`` for the other two indices ``s_i >= s_j``.
-The exponent is shifted to zero at ``u = 1`` and the integrals use
-Gauss-Legendre panels that shrink geometrically toward both endpoints,
-so concentrations up to ~1e6 neither overflow nor under-resolve.
+The exponent is shifted to zero at ``u = 1`` (no overflow up to ~1e6).
+The integrals use nested tanh-sinh quadrature (Takahasi & Mori 1974),
+``u = tanh((pi/2) sinh t)`` at ``t = k h``, whose nodes crowd doubly
+exponentially toward both endpoints; each halving of h adds only the new
+odd nodes, and one pass covers every axis of a whole stack.
 
-The ZYZ Euler product grid (periodic trapezoid in the two azimuthal
-angles, Gauss-Legendre in cos(beta)) remains as the partition-function
-path and as an independent reference for the moment.
+The ZYZ Euler product grid (trapezoid in the two azimuths,
+Gauss-Legendre in cos(beta)) gives the partition function and an
+independent reference for the moment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .fisher import MatrixFisher, mf_from_observation
-from .geom import proper_svd
+from .geom import proper_svd, transpose
 
-# Panels halve in width toward each endpoint of [-1, 1] down to 2**-_PANEL_DEPTH.
-_PANEL_DEPTH = 40
-_START_NODES_PER_PANEL = 4
-_MAX_NODES_PER_PANEL = 64
+# Tanh-sinh nodes t = k h on [-_T_MAX, _T_MAX]; h starts at _START_STEP and
+# halves at most _MAX_HALVINGS times, so a converged result has >= 225 nodes.
+_T_MAX = 3.5
+_START_STEP = 1.0 / 16.0
+_MAX_HALVINGS = 6
 
 # Above this argument np.i0 overflows; the Hankel expansion of
 # I0(z) e^-z, sum_k ((2k-1)!!)^2 / (k! (8z)^k) / sqrt(2 pi z), takes over.
@@ -48,10 +51,7 @@ _OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
 
 
 class NoConvergenceError(RuntimeError):
-    """Refinement hit the node cap before meeting the tolerance.
-
-    Carries the last two (finest) estimates for inspection.
-    """
+    """Refinement hit the halving cap short of the tolerance; carries the last two estimates."""
 
     def __init__(self, message: str, last: np.ndarray, previous: np.ndarray):
         super().__init__(message)
@@ -72,25 +72,14 @@ class So3Grid:
         return self.rotations.shape[0]
 
 
-def _rot_z(angles: np.ndarray) -> np.ndarray:
+def _plane_rotation(angles: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Rotations by ``angles`` turning axis i toward axis j: (0, 1) is about z, (2, 0) about y."""
     c, s = np.cos(angles), np.sin(angles)
     m = np.zeros(angles.shape + (3, 3))
-    m[..., 0, 0] = c
-    m[..., 0, 1] = -s
-    m[..., 1, 0] = s
-    m[..., 1, 1] = c
-    m[..., 2, 2] = 1.0
-    return m
-
-
-def _rot_y(angles: np.ndarray) -> np.ndarray:
-    c, s = np.cos(angles), np.sin(angles)
-    m = np.zeros(angles.shape + (3, 3))
-    m[..., 0, 0] = c
-    m[..., 0, 2] = s
-    m[..., 1, 1] = 1.0
-    m[..., 2, 0] = -s
-    m[..., 2, 2] = c
+    m[..., range(3), range(3)] = 1.0
+    m[..., i, i] = m[..., j, j] = c
+    m[..., i, j] = -s
+    m[..., j, i] = s
     return m
 
 
@@ -100,8 +89,9 @@ def so3_grid_global(n: int) -> So3Grid:
         raise ValueError(f"need n >= 2 nodes per axis, got {n}")
     azimuth = 2.0 * np.pi * np.arange(n) / n
     u, gl_w = np.polynomial.legendre.leggauss(n)
-    rab = np.einsum("aij,bjk->abik", _rot_z(azimuth), _rot_y(np.arccos(u))).reshape(n * n, 3, 3)
-    rotations = (rab[None] @ _rot_z(azimuth)[:, None]).reshape(-1, 3, 3)
+    rot_z, rot_y = _plane_rotation(azimuth, 0, 1), _plane_rotation(np.arccos(u), 2, 0)
+    rab = np.einsum("aij,bjk->abik", rot_z, rot_y).reshape(n * n, 3, 3)
+    rotations = (rab[None] @ rot_z[:, None]).reshape(-1, 3, 3)
     # Haar weight: (2pi/n)^2 * gl_w / (8 pi^2) = gl_w / (2 n^2); sums to 1.
     weights = np.tile(gl_w / (2.0 * n * n), n * n)
     return So3Grid(rotations, weights, n)
@@ -130,65 +120,75 @@ def _i0e(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
-def _panel_nodes(n: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes as 1 - u on [0, 2] and Gauss-Legendre weights, n per panel.
-
-    Each half of [-1, 1] is split at distances 2^-depth, ..., 1/2, 1 from
-    its endpoint; nodes are placed by that distance so 1 - u and 1 + u
-    stay exact near u = 1 and u = -1 respectively.
-    """
-    edges = np.concatenate([[0.0], 2.0 ** -np.arange(depth, -1, -1)])
-    x, w = np.polynomial.legendre.leggauss(n)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    t = ((lo + hi) / 2 + (hi - lo) / 2 * x).ravel()
-    wt = ((hi - lo) / 2 * w).ravel()
-    one_minus_u, weights = np.concatenate([t, 2.0 - t]), np.concatenate([wt, wt])
-    one_minus_u.setflags(write=False)  # cached: shared by every caller
-    weights.setflags(write=False)
-    return one_minus_u, weights
+@lru_cache(maxsize=None)
+def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """1 - u, 1 + u and weight / h of the nodes new at ``level`` (all k at 0, odd k later)."""
+    h = _START_STEP / 2**level
+    k = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1)
+    t = h * (k if level == 0 else k[k % 2 == 1])
+    e = np.pi * np.sinh(t)
+    # each of 1 - u and 1 + u stays exact near its endpoint; h cancels in the mean
+    one_minus_u, one_plus_u = 2.0 / (1.0 + np.exp(e)), 2.0 / (1.0 + np.exp(-e))
+    weights = (np.pi / 2) * np.cosh(t) * one_minus_u * one_plus_u
+    for a in (one_minus_u, one_plus_u, weights):
+        a.setflags(write=False)  # cached: shared by every caller
+    return one_minus_u, one_plus_u, weights
 
 
-def _canonical_mean(s: np.ndarray, n: int) -> np.ndarray:
-    """Diagonal d of E[Q] under exp(sum_k s_k Q_kk) dHaar, n nodes per panel."""
-    one_minus_u, w = _panel_nodes(n, _PANEL_DEPTH)
+def _level_sums(s: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of (1 - u) g_k and of g_k over the nodes new at ``level``, each (B, 3)."""
+    one_minus_u, one_plus_u, w = _level_nodes(level)
     i, j = _OTHER_AXES.T
-    a = 0.5 * (s[i] - s[j])
-    b = 0.5 * (s[i] + s[j])
+    si, sj, sk = s[:, i, None], s[:, j, None], s[..., None]
     # exponent a(1-u) + b(1+u) + s_k u = s_i + (s_j + s_k) u, shifted to 0 at u = 1
-    g = (
-        w
-        * _i0e(np.outer(a, one_minus_u))
-        * _i0e(np.outer(b, 2.0 - one_minus_u))
-        * np.exp(-np.outer(s[j] + s, one_minus_u))
-    )
-    return 1.0 - (g @ one_minus_u) / g.sum(axis=1)
+    bessel_a, bessel_b = _i0e(np.stack([0.5 * (si - sj) * one_minus_u,
+                                        0.5 * (si + sj) * one_plus_u]))
+    g = w * bessel_a * bessel_b * np.exp(-(sj + sk) * one_minus_u)
+    return np.sum(g * one_minus_u, axis=-1), np.sum(g, axis=-1)
 
 
-def mf_mean_quadrature(p: MatrixFisher, tol: float = 1e-8) -> np.ndarray:
-    """Exact first moment E[R] of MF(R; f) by 1-D Bessel quadrature.
+class OracleMean(NamedTuple):
+    """Batched ``mf_mean_quadrature``: means ``(..., 3, 3)`` and which converged."""
 
-    The nodes per panel double until two successive estimates agree to
-    ``tol`` per matrix entry; failure to converge raises
-    :class:`NoConvergenceError` carrying the last two estimates.
+    mean: np.ndarray
+    converged: np.ndarray
+
+
+def mf_mean_quadrature(p: MatrixFisher | np.ndarray, tol: float = 1e-8) -> np.ndarray | OracleMean:
+    """Exact first moment E[R] of MF(R; f) by nested tanh-sinh quadrature.
+
+    The step halves until two successive diagonals d agree to ``tol`` per
+    entry, which bounds the change in every entry of E[R]; failure to
+    converge raises :class:`NoConvergenceError` carrying the last two
+    estimates.  A stack of concentrations ``(..., 3, 3)`` returns
+    ``OracleMean(mean, converged)`` instead, NaN where not converged; each
+    item stops at its own level, so it equals its single call exactly.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    u, s, v = proper_svd(p.f)
-    prev = None
-    est = None
-    n = _START_NODES_PER_PANEL
-    while n <= _MAX_NODES_PER_PANEL:
-        prev, est = est, (u * _canonical_mean(s, n)) @ v.T
-        if prev is not None and np.max(np.abs(est - prev)) < tol:
-            return est
-        n *= 2
-    raise NoConvergenceError(
-        f"posterior mean did not converge to tol={tol} "
-        f"by {_MAX_NODES_PER_PANEL} nodes per panel (concentration {s[0]:.3g})",
-        last=est,
-        previous=prev,
-    )
+    f = p.f if isinstance(p, MatrixFisher) else np.asarray(p, dtype=float)
+    u, s, v = proper_svd(f)
+    u, s, vt = u.reshape(-1, 3, 3), s.reshape(-1, 3), transpose(v).reshape(-1, 3, 3)
+    num, den = sums = np.array(_level_sums(s, 0))  # num and den are views into sums
+    d = prev = 1.0 - num / den
+    pending = np.ones(len(s), dtype=bool)
+    for level in range(1, _MAX_HALVINGS + 1):
+        if not pending.any():
+            break
+        sums[:, pending] += _level_sums(s[pending], level)
+        prev, d = d, d.copy()
+        d[pending] = 1.0 - num[pending] / den[pending]
+        pending &= np.max(np.abs(d - prev), axis=1) >= tol
+    mean = (u * d[:, None, :]) @ vt
+    if f.ndim > 2:
+        mean[pending] = np.nan
+        return OracleMean(mean.reshape(f.shape), ~pending.reshape(f.shape[:-2]))
+    if pending[0]:
+        raise NoConvergenceError(
+            f"posterior mean did not converge to tol={tol} in {_MAX_HALVINGS} halvings "
+            f"(concentration {s[0, 0]:.3g})", last=mean[0], previous=(u[0] * prev[0]) @ vt[0],
+        )
+    return mean[0]
 
 
 def oracle_conditional_denoiser(
@@ -196,9 +196,8 @@ def oracle_conditional_denoiser(
 ) -> np.ndarray:
     """Posterior-mean denoiser target: E[R | y, x, sigma] applied to x.
 
-    The expectation is over the rotation posterior MF(y.T x / sigma^2);
-    the resulting mean matrix (not a rotation) acts on coordinates the
-    same way a rotation does.
+    The mean over the rotation posterior MF(y.T x / sigma^2) is not a
+    rotation, but acts on coordinates the same way.
     """
     mean = mf_mean_quadrature(mf_from_observation(y, x, sigma), tol)
     return np.asarray(x, dtype=float) @ mean.T

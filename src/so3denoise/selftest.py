@@ -10,9 +10,10 @@ The public check functions are the bodies of the acceptance criteria
 C01-C03, C05, C06, C08 and of parts of C07 and C10
 (``tests/test_acceptance.py`` calls them with its own seeds and sample
 counts); ``selftest`` runs the same bodies at reduced sizes.  Each takes
-an RNG (or seed) and its sample counts, raises ``AssertionError`` when
-the invariant fails and returns the figure its acceptance PASS line
-prints, or None where that line prints only its inputs.
+an RNG (or seed) and its sample counts, raises :class:`CheckFailed` (an
+``AssertionError`` that ``python -O`` does not strip) when the invariant
+fails and returns the figure its acceptance PASS line prints, or None
+where that line prints only its inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .align import kabsch
 from .diffusion import DdimSchedule, MlpDenoiser, ddim_sample, loss_and_grad, noise_sample
 from .estimators import EstimatorKind, averaging_offset_check, estimator_target
-from .fisher import MatrixFisher, c1, c2, mf_mean_laplace
+from .fisher import c1, c2, mf_mean_laplace
 from .geom import (
     _quat_to_matrix,
     center,
@@ -33,6 +34,18 @@ from .geom import (
     sample_haar,
 )
 from .quadrature import mf_mean_quadrature, so3_grid_global
+
+# noise levels of the order-0/1/2 error ladder in ``laplace_vs_quadrature`` (C03)
+LAPLACE_SIGMAS = np.array([0.05, 0.08, 0.12, 0.2, 0.3])
+
+
+class CheckFailed(AssertionError):
+    """An invariant does not hold.  Raised explicitly, so ``python -O`` keeps the checks."""
+
+
+def _require(condition, message: str) -> None:
+    if not condition:
+        raise CheckFailed(message)
 
 
 def _homogeneous_gain_matrix(a: np.ndarray) -> np.ndarray:
@@ -73,10 +86,10 @@ def kabsch_optimality(rng: np.random.Generator, n_pairs: int, n_rot: int) -> Non
             direct = np.einsum(
                 "ij,nij->n", a, _quat_to_matrix(sub / np.linalg.norm(sub, axis=1, keepdims=True))
             )
-            assert np.max(np.abs(direct - np.einsum("ni,ni->n", sub @ k, sub)
-                                 / np.einsum("ni,ni->n", sub, sub))) < 1e-12, "gain matrix"
+            _require(np.max(np.abs(direct - np.einsum("ni,ni->n", sub @ k, sub)
+                                   / np.einsum("ni,ni->n", sub, sub))) < 1e-12, "gain matrix")
         sampled_obj = frobenius_norm_sq(y) + frobenius_norm_sq(x) - 2.0 * gains.max()
-        assert best_obj <= sampled_obj, f"trial {trial}: {best_obj} > {sampled_obj}"
+        _require(best_obj <= sampled_obj, f"trial {trial}: {best_obj} > {sampled_obj}")
 
 
 def alignment_commutation(rng: np.random.Generator, n_triples: int) -> float:
@@ -89,27 +102,34 @@ def alignment_commutation(rng: np.random.Generator, n_triples: int) -> float:
         lhs = kabsch(rotate(r, y), rotate(r, x)).rotation
         rhs = r @ kabsch(y, x).rotation @ r.T
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    assert worst < 1e-10, f"max Frobenius deviation {worst}"
+    _require(worst < 1e-10, f"max Frobenius deviation {worst}")
     return worst
 
 
-def laplace_vs_quadrature(rng: np.random.Generator) -> dict[int, float]:
-    """C03: log-log slopes of the order-0/1/2 errors against quadrature, by order."""
+def laplace_vs_quadrature(
+    rng: np.random.Generator,
+) -> tuple[dict[int, float], dict[int, list[float]]]:
+    """C03: log-log slopes of the order-0/1/2 errors against quadrature, by order.
+
+    Returns the slopes and the errors behind them, one per sigma in
+    ``LAPLACE_SIGMAS``.
+    """
     x = center(rng.standard_normal((8, 3)))
     y = center(rotate(sample_haar(rng), x) + 0.15 * rng.standard_normal((8, 3)))
     a = y.T @ x
     a /= proper_svd(a).s[0]  # unit-scale spectrum
-    sigmas = np.array([0.05, 0.08, 0.12, 0.2, 0.3])
-    errs = {0: [], 1: [], 2: []}
-    for s in sigmas:
-        exact = mf_mean_quadrature(MatrixFisher(a / s**2), tol=1e-8)
-        for k in errs:
-            errs[k].append(np.max(np.abs(mf_mean_laplace(a, s, k) - exact)))
+    sigmas = LAPLACE_SIGMAS
+    exact, converged = mf_mean_quadrature(np.stack([a / s**2 for s in sigmas]), tol=1e-8)
+    _require(converged.all(), "quadrature did not converge")
+    errs = {
+        k: [float(np.max(np.abs(mf_mean_laplace(a, s, k) - e))) for s, e in zip(sigmas, exact)]
+        for k in (0, 1, 2)
+    }
     slopes = {}
     for k, floor in ((0, 1.5), (1, 3.5), (2, 4.5)):
         slopes[k] = float(np.polyfit(np.log(sigmas), np.log(errs[k]), 1)[0])
-        assert slopes[k] >= floor, f"order {k}: slope {slopes[k]} < {floor}"
-    return slopes
+        _require(slopes[k] >= floor, f"order {k}: slope {slopes[k]} < {floor}")
+    return slopes, errs
 
 
 def oracle_symmetries(rng: np.random.Generator, n_draws: int) -> tuple[float, float]:
@@ -127,7 +147,7 @@ def oracle_symmetries(rng: np.random.Generator, n_draws: int) -> tuple[float, fl
         worst_equi = max(worst_equi, float(np.max(np.abs(equi - rotate(r, base)))) / (tol * scale))
         inv = estimator_target(EstimatorKind.ORACLE, y, rotate(r, x), sigma, tol=tol)
         worst_inv = max(worst_inv, float(np.max(np.abs(inv - base))) / (tol * scale))
-    assert worst_equi < 2.0 and worst_inv < 2.0, f"dev/(tol*|x|) {worst_equi} / {worst_inv}"
+    _require(worst_equi < 2.0 and worst_inv < 2.0, f"dev/(tol*|x|) {worst_equi} / {worst_inv}")
     return worst_equi, worst_inv
 
 
@@ -140,7 +160,7 @@ def averaging_offset(rng: np.random.Generator, n_instances: int) -> None:
         y = center(rotate(sample_haar(rng), x) + sigma * rng.standard_normal((8, 3)))
         probes = [x, np.zeros_like(x), center(rng.standard_normal(x.shape))]
         spread = averaging_offset_check(y, x, sigma, probes, tol=tol)
-        assert spread < 4 * tol * frobenius_norm_sq(x), f"spread {spread}"
+        _require(spread < 4 * tol * frobenius_norm_sq(x), f"spread {spread}")
 
 
 def ddim_closed_forms(seed: int, n_points: int) -> None:
@@ -176,8 +196,9 @@ def mlp_gradients(rng: np.random.Generator, n_models: int) -> int:
                 lm = loss_and_grad(model, batch, 0.3, EstimatorKind.ORDER0).loss
                 p[idx] += h
                 fd = (lp - lm) / (2 * h)
-                assert abs(grad[idx] - fd) <= 1e-5 * max(abs(grad[idx]), abs(fd), 1e-4), (
-                    f"{name}{idx}: analytic {grad[idx]} vs fd {fd}"
+                _require(
+                    abs(grad[idx] - fd) <= 1e-5 * max(abs(grad[idx]), abs(fd), 1e-4),
+                    f"{name}{idx}: analytic {grad[idx]} vs fd {fd}",
                 )
                 checked += 1
     return checked
@@ -186,11 +207,11 @@ def mlp_gradients(rng: np.random.Generator, n_models: int) -> int:
 def grid_moments(n: int) -> None:
     """C10 grid part: the global grid's weights and first two Haar moments."""
     g = so3_grid_global(n)
-    assert abs(g.weights.sum() - 1.0) <= 1e-12, "weights not normalized"
+    _require(abs(g.weights.sum() - 1.0) <= 1e-12, "weights not normalized")
     mean = np.einsum("n,nij->ij", g.weights, g.rotations)
-    assert np.max(np.abs(mean)) <= 1e-10, "Haar first moment not zero"
+    _require(np.max(np.abs(mean)) <= 1e-10, "Haar first moment not zero")
     tr = np.trace(g.rotations, axis1=1, axis2=2)
-    assert abs(np.sum(g.weights * tr * tr) - 1.0) <= 1e-8, "trace^2 moment off"
+    _require(abs(np.sum(g.weights * tr * tr) - 1.0) <= 1e-8, "trace^2 moment off")
 
 
 def _check_expmap_density_mass(fast):
@@ -200,7 +221,7 @@ def _check_expmap_density_mass(fast):
     r = (r + 1.0) * (np.pi / 2.0)
     w = w * (np.pi / 2.0)
     mass = np.sum(w * 4.0 * np.pi * r**2 * _expmap_density(r))
-    assert abs(mass - 1.0) <= 1e-6, f"density mass {mass}"
+    _require(abs(mass - 1.0) <= 1e-6, f"density mass {mass}")
 
 
 def _check_geom_roundtrips(fast):
@@ -211,20 +232,20 @@ def _check_geom_roundtrips(fast):
         if norm > np.pi:
             theta *= (np.pi / norm) * rng.uniform(0, 1)
         r = exp_map(theta)
-        assert np.max(np.abs(r @ exp_map(-theta) - np.eye(3))) <= 1e-12, "exp-map inverse"
+        _require(np.max(np.abs(r @ exp_map(-theta) - np.eye(3))) <= 1e-12, "exp-map inverse")
         a = rng.standard_normal((3, 3))
         u, s, v = proper_svd(a)
         rel = np.linalg.norm((u * s) @ v.T - a) / np.linalg.norm(a)
-        assert rel <= 1e-10, f"svd reconstruction {rel}"
+        _require(rel <= 1e-10, f"svd reconstruction {rel}")
 
 
 def _check_expansion_coeffs(fast):
     got = c1(np.array([2.0, 1.0, 0.0]))
     want = np.array([-5.0 / 12.0, -2.0 / 3.0, -0.75])
-    assert np.max(np.abs(got - want)) <= 1e-15, "c1 spot values"
+    _require(np.max(np.abs(got - want)) <= 1e-15, "c1 spot values")
     got = c2(np.array([2.0, 1.0, 0.0]))
     want = np.array([-13.0 / 288.0, -5.0 / 36.0, -5.0 / 32.0])
-    assert np.max(np.abs(got - want)) <= 1e-15, "c2 spot values"
+    _require(np.max(np.abs(got - want)) <= 1e-15, "c2 spot values")
 
 
 def _sized(check, seed, fast_counts, full_counts):

@@ -24,7 +24,7 @@ from so3denoise.fisher import (
     mf_mean_laplace,
 )
 from so3denoise.geom import center, proper_svd, rotate, sample_haar
-from so3denoise.quadrature import NoConvergenceError
+from so3denoise.quadrature import NoConvergenceError, mf_mean_quadrature
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -109,6 +109,28 @@ def test_mf_mean_laplace_stack_equals_per_item(mats, sigma, order):
                 assert np.all(np.isnan(rows[i]))
             else:
                 assert np.array_equal(coeff(s), rows[i])
+
+
+@SETTINGS
+@given(
+    st.lists(spectrum_matrix() | st.just(np.zeros((3, 3))), min_size=1, max_size=6),
+    st.sampled_from([1e-6, 1e-8, 1e-12]),
+)
+def test_mf_mean_quadrature_stack_equals_per_item(mats, tol):
+    a = np.stack(mats)
+    mean, converged = mf_mean_quadrature(a, tol)
+    assert mean.shape == a.shape and converged.shape == (len(mats),)
+    for i, m in enumerate(mats):
+        try:
+            one = mf_mean_quadrature(m, tol)
+        except NoConvergenceError:
+            assert not converged[i] and np.all(np.isnan(mean[i]))
+            continue
+        assert converged[i] and np.array_equal(one, mean[i])
+    # any number of leading axes
+    mean2, converged2 = mf_mean_quadrature(a[None], tol)
+    assert np.array_equal(mean2[0], mean, equal_nan=True)
+    assert np.array_equal(converged2[0], converged)
 
 
 def _scalar_c1_c2(s):

@@ -206,14 +206,35 @@ assert "scipy" not in sys.modules, "scipy was imported"
 """
 
 
-def test_cli_oracle_and_sweep_do_not_import_scipy(tmp_path):
-    # scipy is a test-only dependency; importing it would bloat every CLI run, and
-    # selftest ships in the package
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports so3denoise from this checkout."""
     src = str(Path(so3denoise.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
-        env=env, capture_output=True, text=True,
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_cli_oracle_and_sweep_do_not_import_scipy(tmp_path):
+    # scipy is a test-only dependency; importing it would bloat every CLI run, and
+    # selftest ships in the package
+    proc = _run_python("-c", _NO_SCIPY_SCRIPT, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
+
+
+_OPTIMIZED_SELFTEST_SCRIPT = """
+import sys
+import so3denoise.selftest as selftest
+
+assert False, "python -O strips plain asserts"
+c1 = selftest.c1
+selftest.c1 = lambda s: c1(s) * 1.001  # a wrong expansion coefficient
+selftest._CHECKS = [c for c in selftest._CHECKS if c[0] == "expansion-coefficients"]
+sys.exit(selftest.run(fast=True))
+"""
+
+
+def test_selftest_fails_a_failing_check_under_python_O():
+    proc = _run_python("-O", "-c", _OPTIMIZED_SELFTEST_SCRIPT)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == ["FAIL expansion-coefficients: c1 spot values",
+                                        "0/1 checks passed"]

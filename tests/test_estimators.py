@@ -11,7 +11,7 @@ from so3denoise.estimators import (
     sweep_aug_anomalies,
     write_sweep_csv,
 )
-from so3denoise.fisher import c1
+from so3denoise.fisher import ExpansionSingularError, c1
 from so3denoise.geom import center, frobenius_norm_sq, proper_svd, rotate, sample_haar
 from so3denoise.trajectory import synth_trajectory
 
@@ -101,6 +101,51 @@ def test_sweep_deterministic_and_csv_round_trip(tmp_path, cloud):
     write_sweep_csv(again, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
     assert read_sweep_csv(path_a) == records
+
+
+def test_sweep_matches_per_draw_scalar_calls(cloud):
+    # the old per-draw path, one scalar target call per kind: same RNG stream and
+    # the same numbers, bit for bit
+    sigmas, n_noise, seed, tol = [0.01, 0.1, 0.3, 1.0], 3, 5, 1e-6
+    records = error_sweep(cloud, sigmas, n_noise=n_noise, seed=seed, tol=tol)
+    kinds = [EstimatorKind.AUG, EstimatorKind.ORDER0, EstimatorKind.ORDER1, EstimatorKind.ORDER2]
+    want = []
+    for si, sigma in enumerate(sigmas):
+        vals = {kind: [] for kind in kinds}
+        for j in range(n_noise):
+            rng = np.random.default_rng([seed, si, j])
+            r_aug = sample_haar(rng)
+            y = center(rotate(r_aug, cloud) + sigma * rng.standard_normal(cloud.shape))
+            oracle = estimator_target(EstimatorKind.ORACLE, y, cloud, sigma, tol=tol)
+            for kind in kinds:
+                r = r_aug if kind is EstimatorKind.AUG else None
+                try:
+                    target = estimator_target(kind, y, cloud, sigma, r_aug=r, tol=tol)
+                except ExpansionSingularError:
+                    continue
+                vals[kind].append(frobenius_norm_sq(target - oracle))
+        for kind in kinds:
+            v = np.array(vals[kind])
+            stderr = float(np.std(v, ddof=1) / np.sqrt(len(v)))
+            want.append((sigma, kind, float(np.mean(v)), stderr))
+    assert [(r.sigma, r.kind, r.mean_mse, r.stderr) for r in records] == want
+
+
+def test_sweep_hierarchy_holds_on_every_draw():
+    # the benchmark's per-call gate, draw by draw: at sigma = 0.003 scale order-2
+    # MSE is ~1e-20 or below, so an oracle error of ~1e-10 per entry breaks it
+    violations = []
+    for c in range(8):
+        traj = synth_trajectory(8, 1, 0.0, seed=c)
+        sigmas = [0.003 * traj.scale, 0.01 * traj.scale]
+        for seed in range(16):
+            records = error_sweep(traj.frames[0], sigmas, n_noise=1, seed=seed, tol=1e-6)
+            mse = {(r.sigma, r.kind): r.mean_mse for r in records}
+            for s in sigmas:
+                o0, o1, o2 = (mse[s, EstimatorKind(f"order{k}")] for k in range(3))
+                if not o2 <= o1 <= o0:
+                    violations.append((c, seed, s, o0, o1, o2))
+    assert not violations
 
 
 def test_sweep_order0_mse_slope(cloud):

@@ -11,8 +11,9 @@ from so3denoise.fisher import (
     mf_mean_laplace,
     mf_mode,
 )
-from so3denoise.geom import center, proper_svd, rotate, sample_haar
+from so3denoise.geom import center, proper_svd, sample_haar
 from so3denoise.quadrature import mf_mean_quadrature, so3_grid_global
+from so3denoise.selftest import LAPLACE_SIGMAS, laplace_vs_quadrature
 
 
 def test_mf_from_observation_direct_product():
@@ -146,23 +147,15 @@ def test_mean_laplace_order1_vs_quadrature_example():
 
 
 def test_mean_laplace_convergence_slopes():
-    # per-order error against quadrature decays with slope >= 2(k+1) - 0.5
-    rng = np.random.default_rng(2024)
-    x = center(rng.standard_normal((8, 3)))
-    y = center(rotate(sample_haar(rng), x) + 0.15 * rng.standard_normal((8, 3)))
-    a = y.T @ x
-    a /= proper_svd(a).s[0]
-    sigmas = np.array([0.05, 0.08, 0.12, 0.2, 0.3])
-    errs = {0: [], 1: [], 2: []}
-    for s in sigmas:
-        exact = mf_mean_quadrature(MatrixFisher(a / s**2), tol=1e-8)
-        for k in errs:
-            errs[k].append(np.max(np.abs(mf_mean_laplace(a, s, k) - exact)))
+    # per-order error against quadrature decays with slope >= 2(k+1) - 0.5, on C03's
+    # inputs and errors
+    _, errs = laplace_vs_quadrature(np.random.default_rng(2024))
     for k, floor in ((0, 1.5), (1, 3.5), (2, 5.5)):
-        slope = np.polyfit(np.log(sigmas), np.log(errs[k]), 1)[0]
+        slope = np.polyfit(np.log(LAPLACE_SIGMAS), np.log(errs[k]), 1)[0]
         assert slope >= floor, f"order {k}: slope {slope}"
     # the rate alone does not bound the error: at sigma = 0.12 the orders rank and
     # order 2 is within 1e-6
+    assert LAPLACE_SIGMAS[2] == 0.12
     assert errs[0][2] > errs[1][2] > errs[2][2]
     assert errs[2][2] <= 1e-6, f"order-2 error {errs[2][2]}"
 

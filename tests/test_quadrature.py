@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import i0, i1
 
 import so3denoise.quadrature as quad
 from so3denoise.fisher import MatrixFisher, mf_mean_laplace
-from so3denoise.geom import center, frobenius_norm_sq, rotate, sample_haar
+from so3denoise.geom import center, frobenius_norm_sq, proper_svd, rotate, sample_haar
 from so3denoise.quadrature import (
     NoConvergenceError,
     mf_log_partition,
@@ -116,14 +118,49 @@ def test_mean_quadrature_finite_for_huge_concentration():
 
 
 def test_mean_quadrature_no_convergence_carries_estimates(monkeypatch):
-    # a needle-like posterior that shallow panels with few nodes cannot resolve
-    monkeypatch.setattr(quad, "_PANEL_DEPTH", 2)
-    monkeypatch.setattr(quad, "_MAX_NODES_PER_PANEL", 16)
+    # a needle-like posterior that one halving of the start step cannot resolve to 1e-12
+    monkeypatch.setattr(quad, "_MAX_HALVINGS", 1)
     p = MatrixFisher(np.diag([4000.0, 1.0, 0.5]))
     with pytest.raises(NoConvergenceError) as excinfo:
-        mf_mean_quadrature(p, tol=1e-10)
+        mf_mean_quadrature(p, tol=1e-12)
     assert excinfo.value.last.shape == (3, 3)
     assert excinfo.value.previous.shape == (3, 3)
+    # a stack flags the item instead of raising
+    mean, converged = mf_mean_quadrature(np.stack([p.f, np.zeros((3, 3))]), tol=1e-12)
+    assert converged.tolist() == [False, True]
+    assert np.all(np.isnan(mean[0])) and np.all(np.isfinite(mean[1]))
+
+
+@pytest.mark.parametrize("spectrum", [(1e6, 5.0, 1.0), (1000.0, 1000.0, -999.99)])
+def test_mean_quadrature_hard_spectra_converge_in_two_halvings(monkeypatch, spectrum):
+    # the 1e6 needle and a near-collinear reflected pair (s2 + s3 = 0.01) stop by
+    # h = 1/64 (449 nodes) even at tol 1e-12
+    monkeypatch.setattr(quad, "_MAX_HALVINGS", 2)
+    m = mf_mean_quadrature(MatrixFisher(np.diag(spectrum)), tol=1e-12)
+    assert np.all(np.isfinite(m))
+
+
+def _langevin(kappa: float) -> float:
+    """coth(k) - 1/k, by its series where the closed form cancels."""
+    if kappa < 1e-2:
+        return kappa / 3 - kappa**3 / 45 + 2 * kappa**5 / 945
+    return 1.0 / np.tanh(kappa) - 1.0 / kappa
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-3.0, 6.0), st.integers(0, 2**32 - 1))
+def test_mean_quadrature_rank_one_closed_form(log_kappa, seed):
+    # for f = U diag(k, 0, 0) V^T only R e1 is constrained; its law on the sphere
+    # is von Mises-Fisher, whose mean resultant length is the Langevin function
+    kappa = 10.0**log_kappa
+    u, v = sample_haar(np.random.default_rng(seed), 2)
+    f = kappa * np.outer(u[:, 0], v[:, 0])
+    m = mf_mean_quadrature(MatrixFisher(f), tol=1e-10)
+    want = _langevin(kappa) * np.outer(u[:, 0], v[:, 0])
+    # rounded to floating point, f has s2, s3 of order kappa * eps, not 0; the
+    # mean answers them with Q22 and Q33 of at most their size
+    s = proper_svd(f).s
+    assert np.max(np.abs(m - want)) <= 1e-12 + abs(s[1]) + abs(s[2])
 
 
 def test_oracle_uniform_limit():
@@ -140,8 +177,6 @@ def test_oracle_vs_expansion_slope():
     x = center(rng.standard_normal((8, 3)))
     y = center(rotate(sample_haar(rng), x) + 0.1 * rng.standard_normal((8, 3)))
     a = y.T @ x
-    from so3denoise.geom import proper_svd
-
     a /= proper_svd(a).s[0]
     sigmas = np.array([0.05, 0.08, 0.12, 0.2, 0.3])
     errs = []
