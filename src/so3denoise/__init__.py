@@ -40,7 +40,6 @@ from .estimators import (
     averaging_offset_check,
     error_sweep,
     estimator_target,
-    mse_to_oracle,
     read_sweep_csv,
     sweep_aug_anomalies,
     write_sweep_csv,

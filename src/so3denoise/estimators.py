@@ -9,8 +9,11 @@ a noisy rotated observation ``y`` of a clean cloud ``x``:
 * ``ORDER2``  -- plus the sigma^4 correction,
 * ``ORACLE``  -- the quadrature posterior mean (ground truth).
 
-``error_sweep`` measures the mean squared error of each estimator
-against the oracle across noise levels, reproducibly from a seed.
+``estimator_target`` takes one pair or a stack of pairs, and on a stack
+``sigma`` may vary per item.  ``error_sweep`` measures the mean squared
+error of each estimator against the oracle across noise levels,
+reproducibly from a seed, with one stacked target call per estimator
+kind over all the draws of all the noise levels.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .align import kabsch
-from .fisher import ExpansionSingularError, _check_sigma, mf_from_observation, mf_mean_laplace
-from .geom import center, frobenius_norm_sq, rotate, sample_haar, transpose
+from .align import _kabsch
+from .fisher import _check_sigma, _power, mf_from_observation, mf_mean_laplace
+from .geom import center, frobenius_norm_sq, haar_from_normals, rotate, transpose
 from .quadrature import mf_mean_quadrature, oracle_conditional_denoiser
 
 SWEEP_CSV_HEADER = ["sigma", "kind", "mean_mse", "stderr", "n_samples", "n_excluded", "seed"]
@@ -65,7 +68,7 @@ def estimator_target(
     kind: EstimatorKind,
     y: np.ndarray,
     x: np.ndarray,
-    sigma: float,
+    sigma: float | np.ndarray,
     r_aug: np.ndarray | None = None,
     tol: float = 1e-8,
 ) -> np.ndarray | BatchTargets:
@@ -78,17 +81,18 @@ def estimator_target(
     :class:`DegenerateAlignmentWarning`.
 
     Stacks of pairs ``(..., N, 3)`` (with ``r_aug`` of shape
-    ``(..., 3, 3)``) return ``BatchTargets(targets, keep)``.  Items whose
-    target cannot be computed (expansion-singular spectra, oracle
+    ``(..., 3, 3)``) return ``BatchTargets(targets, keep)``, and ``sigma``
+    may be one level or an array of per-item levels ``(...)``.  Items
+    whose target cannot be computed (expansion-singular spectra, oracle
     non-convergence) are not raised but have ``keep`` False and NaN
     targets; a batch with degenerate alignments warns once.
     """
     kind = EstimatorKind(kind)
     if (r_aug is not None) != (kind is EstimatorKind.AUG):
         raise ValueError("r_aug must be given for AUG and only for AUG")
-    _check_sigma(sigma)
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
+    _check_sigma(sigma, y.shape[:-2])
     batched = y.ndim > 2
     keep = np.ones(y.shape[:-2], dtype=bool)
 
@@ -97,11 +101,11 @@ def estimator_target(
     elif kind is EstimatorKind.ORACLE:
         if not batched:
             return oracle_conditional_denoiser(y, x, sigma, tol)
-        mean, keep = mf_mean_quadrature(transpose(y) @ x / sigma**2, tol)
+        mean, keep = mf_mean_quadrature(transpose(y) @ x / _power(sigma, 2.0)[..., None, None], tol)
         targets = x @ transpose(mean)
     elif kind is EstimatorKind.ORDER0:
-        rotation, degenerate = kabsch(y, x)
-        if np.any(degenerate):
+        rotation, degenerate = _kabsch(y, x)
+        if degenerate.any():
             warnings.warn("alignment is degenerate; target not unique", DegenerateAlignmentWarning)
         targets = rotate(rotation, x)
     else:
@@ -112,23 +116,6 @@ def estimator_target(
             keep = ~singular
         targets = x @ transpose(mean)
     return BatchTargets(targets, keep) if batched else targets
-
-
-def mse_to_oracle(
-    kind: EstimatorKind,
-    y: np.ndarray,
-    x: np.ndarray,
-    sigma: float,
-    r_aug: np.ndarray | None = None,
-    tol: float = 1e-8,
-) -> float:
-    """Squared distance of an estimator target from the oracle target."""
-    oracle = estimator_target(EstimatorKind.ORACLE, y, x, sigma, tol=tol)
-    if EstimatorKind(kind) is EstimatorKind.ORACLE:
-        target = oracle
-    else:
-        target = estimator_target(kind, y, x, sigma, r_aug=r_aug, tol=tol)
-    return frobenius_norm_sq(target - oracle)
 
 
 _SWEEP_KINDS = (
@@ -151,58 +138,57 @@ def error_sweep(
     For every noise level, ``n_noise`` pairs (Haar rotation, Gaussian
     noise) are drawn, the observation is re-centered, and the MSE of each
     estimator target against the oracle is averaged.  Samples whose
-    target computation fails are excluded from the mean and counted in
-    ``n_excluded``, never silently substituted.  Deterministic given
-    ``seed``: each draw has its own stream from (seed, sigma index,
-    sample index).  All draws are made first, so one stacked oracle pass
-    covers every noise level.
+    target computation fails (oracle non-convergence, or an
+    expansion-singular spectrum for orders 1 and 2) are excluded from the
+    mean and counted in ``n_excluded``, never silently substituted.
+    Deterministic given ``seed``: each draw has its own stream from
+    (seed, sigma index, sample index).  The draws are then stacked across
+    every noise level, each item with its own sigma, so each estimator
+    kind and the oracle take one stacked target call per sweep; degenerate
+    alignments warn once per sweep.
     """
     x = np.asarray(x, dtype=float)
     if n_noise < 1:
         raise ValueError(f"n_noise must be >= 1, got {n_noise}")
     sig = [float(s) for s in sigmas]
-    for s in sig:
-        _check_sigma(s)
+    if not sig:
+        raise ValueError("sigmas must be nonempty")
+    _check_sigma(np.array(sig), (len(sig),))
     if any(a >= b for a, b in zip(sig, sig[1:])):
         raise ValueError("sigmas must be strictly ascending")
 
-    # every draw first, each from its own (seed, sigma index, sample index) stream
-    draws = []
-    for si, sigma in enumerate(sig):
+    # the normals of every draw, each from its own (seed, sigma index, sample index) stream
+    normals = []
+    for si in range(len(sig)):
         for j in range(n_noise):
             rng = np.random.default_rng([seed, si, j])
-            r_aug = sample_haar(rng)
-            y = center(rotate(r_aug, x) + sigma * rng.standard_normal(x.shape))
-            draws.append((sigma, y, r_aug))
-    # then one oracle pass over every draw of every noise level
-    concentrations = np.stack([mf_from_observation(y, x, sigma).f for sigma, y, _ in draws])
-    means, converged = mf_mean_quadrature(concentrations, tol)
-    oracles = x @ transpose(means)
+            normals.append((rng.standard_normal(4), rng.standard_normal(x.shape)))
+    q, eta = (np.stack(part) for part in zip(*normals))
+    sigma = np.repeat(sig, n_noise)
+    r_aug = haar_from_normals(q)
+    ys = center(rotate(r_aug, x) + sigma[:, None, None] * eta)
+    xs = np.broadcast_to(x, ys.shape)
 
-    scored = []  # per draw: each kind's MSE to the oracle, None where excluded
-    for (sigma, y, r_aug), oracle, ok in zip(draws, oracles, converged):
-        mse: dict[EstimatorKind, float | None] = dict.fromkeys(_SWEEP_KINDS)
-        for kind in _SWEEP_KINDS if ok else ():
-            try:
-                target = estimator_target(
-                    kind, y, x, sigma, r_aug=r_aug if kind is EstimatorKind.AUG else None, tol=tol
-                )
-            except ExpansionSingularError:
-                continue
-            mse[kind] = frobenius_norm_sq(target - oracle)
-        scored.append(mse)
+    oracle, converged = estimator_target(EstimatorKind.ORACLE, ys, xs, sigma, tol=tol)
+    mse = np.empty((len(_SWEEP_KINDS), len(sigma)))
+    keep = np.empty(mse.shape, dtype=bool)
+    for k, kind in enumerate(_SWEEP_KINDS):
+        aug = r_aug if kind is EstimatorKind.AUG else None
+        targets, kept = estimator_target(kind, ys, xs, sigma, r_aug=aug, tol=tol)
+        diff = targets - oracle
+        mse[k] = np.sum(diff * diff, axis=(-2, -1))
+        keep[k] = kept & converged
+    shape = (len(_SWEEP_KINDS), len(sig), n_noise)  # (kind, sigma, draw)
+    mse, keep = mse.reshape(shape), keep.reshape(shape)
 
     records = []
-    for si, sigma in enumerate(sig):
-        samples = scored[si * n_noise : (si + 1) * n_noise]
-        for kind in _SWEEP_KINDS:
-            vals = np.array([s[kind] for s in samples if s[kind] is not None])
+    for si, s in enumerate(sig):
+        for k, kind in enumerate(_SWEEP_KINDS):
+            vals = mse[k, si][keep[k, si]]
             n_ok = len(vals)
             mean = float(np.mean(vals)) if n_ok else float("nan")
             stderr = float(np.std(vals, ddof=1) / np.sqrt(n_ok)) if n_ok > 1 else 0.0
-            records.append(
-                SweepRecord(sigma, kind, mean, stderr, n_ok, n_noise - n_ok, seed)
-            )
+            records.append(SweepRecord(s, kind, mean, stderr, n_ok, n_noise - n_ok, seed))
     return records
 
 

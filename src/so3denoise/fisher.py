@@ -44,9 +44,17 @@ class MatrixFisher:
         object.__setattr__(self, "f", f)
 
 
-def _check_sigma(sigma: float) -> None:
-    """Reject a noise level that is not positive and finite (NaN included)."""
-    if not 0 < sigma < math.inf:
+def _check_sigma(sigma: float | np.ndarray, shape: tuple[int, ...] = ()) -> None:
+    """Reject noise levels that are not positive and finite (NaN included);
+    an array of per-item levels must have the stack's leading ``shape``."""
+    if isinstance(sigma, float):
+        ok = 0 < sigma < math.inf
+    else:
+        s = np.asarray(sigma, dtype=float)
+        if s.ndim and s.shape != shape:
+            raise ValueError(f"sigma of shape {s.shape} does not match the stack's {shape}")
+        ok = ((0 < s) & (s < math.inf)).all()
+    if not ok:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
@@ -114,11 +122,12 @@ def _safe_sums(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _POW = np.frompyfunc(math.pow, 2, 1)
 
 
-def _square(d: np.ndarray) -> np.ndarray:
-    # Squared one element at a time through libm pow, as ``d[k] ** 2`` does on
-    # a numpy scalar: pow and d * d differ in the last bit for about one value
-    # in 1200, and seeded training results are pinned to the pow rounding.
-    return _POW(d, 2.0).astype(float)
+def _power(d: float | np.ndarray, p: float) -> np.ndarray:
+    # ``d ** p`` on a float or a numpy scalar calls libm pow; an array is
+    # raised one element at a time through it, because numpy's array ``**``
+    # rounds differently (pow and d * d differ in the last bit for about one
+    # value in 1200) and seeded results are pinned to the pow rounding.
+    return np.asarray(d**p if isinstance(d, float) else _POW(d, p), dtype=float)
 
 
 def _diagonal(d: np.ndarray, singular: np.ndarray, scale: float) -> np.ndarray:
@@ -137,7 +146,7 @@ def _c1(d: np.ndarray, singular: np.ndarray) -> np.ndarray:
 
 
 def _c2(d: np.ndarray, singular: np.ndarray) -> np.ndarray:
-    return _diagonal(1.0 / _square(d), singular, -0.125)
+    return _diagonal(1.0 / _power(d, 2.0), singular, -0.125)
 
 
 def c1(s: np.ndarray) -> np.ndarray:
@@ -166,7 +175,9 @@ class LaplaceMean(NamedTuple):
     singular: np.ndarray
 
 
-def mf_mean_laplace(a: np.ndarray, sigma: float, order: int) -> np.ndarray | LaplaceMean:
+def mf_mean_laplace(
+    a: np.ndarray, sigma: float | np.ndarray, order: int
+) -> np.ndarray | LaplaceMean:
     """Closed-form approximation of E[R] under MF(R; a / sigma**2).
 
     ``a`` is the unscaled cross-covariance ``y.T @ x``; the concentration
@@ -179,18 +190,20 @@ def mf_mean_laplace(a: np.ndarray, sigma: float, order: int) -> np.ndarray | Lap
     A single ``(3, 3)`` input returns the mean and raises
     ``ExpansionSingularError`` on a singular spectrum.  A stack
     ``(..., 3, 3)`` returns ``LaplaceMean(mean, singular)``: the means of
-    singular items are NaN and flagged in the mask.
+    singular items are NaN and flagged in the mask.  ``sigma`` may then be
+    an array of per-item levels ``(...)``.
     """
-    _check_sigma(sigma)
+    a = np.asarray(a, dtype=float)
+    _check_sigma(sigma, a.shape[:-2])
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    u, s, v = proper_svd(np.asarray(a, dtype=float))
+    u, s, v = proper_svd(a)
     d = np.ones(s.shape)
     singular = np.zeros(s.shape[:-1], dtype=bool)
     if order >= 1:
         sums, singular = _safe_sums(s)
-        d = d + sigma**2 * _c1(sums, singular)
+        d = d + _power(sigma, 2.0)[..., None] * _c1(sums, singular)
     if order >= 2:
-        d = d + sigma**4 * _c2(sums, singular)
+        d = d + _power(sigma, 4.0)[..., None] * _c2(sums, singular)
     mean = (u * d[..., None, :]) @ transpose(v)
     return mean if s.ndim == 1 else LaplaceMean(mean, singular)

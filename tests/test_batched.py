@@ -133,6 +133,91 @@ def test_mf_mean_quadrature_stack_equals_per_item(mats, tol):
     assert np.array_equal(converged2[0], converged)
 
 
+# noise levels where numpy's array power and libm pow (Python's float ``**``)
+# round sigma**2, and sigma**4, to different doubles
+SIGMA_SQUARE_PIN = 0.5212416573669058
+SIGMA_FOURTH_PIN = 1.598336239474182
+PER_ITEM_SIGMA = st.floats(1e-3, 10.0)
+
+
+def test_pinned_sigmas_round_differently_under_numpy_powers():
+    s2, s4 = np.array([SIGMA_SQUARE_PIN]), np.array([SIGMA_FOURTH_PIN])
+    assert (s2**2)[0] != SIGMA_SQUARE_PIN**2
+    assert (s4**4)[0] != SIGMA_FOURTH_PIN**4
+
+
+@example([np.diag([1.0, 0.7, 0.4])] * 2, [SIGMA_SQUARE_PIN, SIGMA_FOURTH_PIN], 1)
+@example([np.diag([1.0, 0.7, 0.4])] * 2, [SIGMA_SQUARE_PIN, SIGMA_FOURTH_PIN], 2)
+@SETTINGS
+@given(
+    st.lists(spectrum_matrix(), min_size=1, max_size=6),
+    st.lists(PER_ITEM_SIGMA, min_size=6, max_size=6),
+    st.sampled_from([0, 1, 2]),
+)
+def test_mf_mean_laplace_per_item_sigma_equals_scalar_calls(mats, sigmas, order):
+    a = np.stack(mats)
+    sigma = np.array(sigmas[: len(mats)])
+    mean, singular = mf_mean_laplace(a, sigma, order)
+    want = np.zeros(len(a), bool)
+    for i, m in enumerate(mats):
+        try:
+            one = mf_mean_laplace(m, float(sigma[i]), order)
+        except ExpansionSingularError:
+            want[i] = True
+            assert np.all(np.isnan(mean[i]))
+            continue
+        assert np.array_equal(one, mean[i])
+    assert np.array_equal(singular, want)
+
+
+def _pin_pair(seed):
+    """A unit-scale cloud and a noisy rotated copy of it."""
+    rng = np.random.default_rng(seed)
+    x = center(rng.standard_normal((7, 3)))
+    return center(rotate(sample_haar(rng), x) + 0.3 * rng.standard_normal(x.shape)), x
+
+
+PINNED_ITEMS = [(_pin_pair(0), SIGMA_SQUARE_PIN), (_pin_pair(1), SIGMA_FOURTH_PIN)]
+
+
+@example(PINNED_ITEMS, EstimatorKind.ORACLE, 0)
+@example(PINNED_ITEMS, EstimatorKind.ORDER2, 0)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(cloud_pair(), PER_ITEM_SIGMA), min_size=1, max_size=5),
+    st.sampled_from(list(EstimatorKind)),
+    st.integers(0, 2**32 - 1),
+)
+def test_estimator_target_per_item_sigma_equals_scalar_calls(items, kind, seed):
+    ys, xs = (np.stack(part) for part in zip(*(pair for pair, _ in items)))
+    sigma = np.array([s for _, s in items])
+    r_aug = sample_haar(np.random.default_rng(seed), len(items)) if kind is EstimatorKind.AUG else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateAlignmentWarning)
+        targets, keep = estimator_target(kind, ys, xs, sigma, r_aug=r_aug, tol=1e-8)
+    assert targets.shape == ys.shape and keep.shape == (len(items),)
+    for i, ((y, x), s) in enumerate(items):
+        want, _ = _scalar_target(kind, y, x, s, None if r_aug is None else r_aug[i])
+        assert keep[i] == (want is not None)
+        if want is None:
+            assert np.all(np.isnan(targets[i]))
+        else:
+            assert np.array_equal(want, targets[i])
+
+
+def test_per_item_sigma_must_match_the_stack():
+    a = np.stack([np.diag([3.0, 2.0, 1.0])] * 3)
+    with pytest.raises(ValueError, match="does not match"):
+        mf_mean_laplace(a, np.array([0.1, 0.2]), 1)
+    with pytest.raises(ValueError, match="does not match"):
+        mf_mean_laplace(a[0], np.array([0.1]), 1)
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        mf_mean_laplace(a, np.array([0.1, np.nan, 0.2]), 1)
+    ys = np.stack([_pin_pair(k)[0] for k in range(3)])
+    with pytest.raises(ValueError, match="does not match"):
+        estimator_target(EstimatorKind.ORDER0, ys, ys, np.array([0.1, 0.2]))
+
+
 def _scalar_c1_c2(s):
     """c1 and c2 written out in numpy-scalar arithmetic, one entry at a time."""
     d = [s[1] + s[2], s[0] + s[2], s[0] + s[1]]

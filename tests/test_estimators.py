@@ -1,19 +1,26 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from so3denoise.estimators import (
+    DegenerateAlignmentWarning,
     EstimatorKind,
     averaging_offset_check,
     error_sweep,
     estimator_target,
-    mse_to_oracle,
     read_sweep_csv,
     sweep_aug_anomalies,
     write_sweep_csv,
 )
 from so3denoise.fisher import ExpansionSingularError, c1
 from so3denoise.geom import center, frobenius_norm_sq, proper_svd, rotate, sample_haar
+from so3denoise.quadrature import NoConvergenceError
 from so3denoise.trajectory import synth_trajectory
+
+SWEEP_KINDS = [EstimatorKind.AUG, EstimatorKind.ORDER0, EstimatorKind.ORDER1, EstimatorKind.ORDER2]
 
 
 def noisy_pair(rng, x, sigma):
@@ -73,19 +80,23 @@ def test_error_ordering_majority(cloud):
 
 
 def test_mse_to_oracle_values(cloud):
+    def mse_to_oracle(kind, y, sigma, r_aug=None):
+        oracle = estimator_target(EstimatorKind.ORACLE, y, cloud, sigma)
+        return frobenius_norm_sq(estimator_target(kind, y, cloud, sigma, r_aug=r_aug) - oracle)
+
     rng = np.random.default_rng(3)
     y, r_aug = noisy_pair(rng, cloud, 0.2)
-    assert mse_to_oracle(EstimatorKind.ORACLE, y, cloud, 0.2) == 0.0
-    assert mse_to_oracle(EstimatorKind.ORDER0, y, cloud, 0.2) > 0.0
+    assert mse_to_oracle(EstimatorKind.ORACLE, y, 0.2) == 0.0
+    assert mse_to_oracle(EstimatorKind.ORDER0, y, 0.2) > 0.0
     # sharply peaked posterior: expansion-order targets collapse onto the oracle
     y0, r0 = noisy_pair(rng, cloud, 1e-3)
     floor = 1e-8 * frobenius_norm_sq(cloud)
     for kind in (EstimatorKind.ORDER0, EstimatorKind.ORDER1, EstimatorKind.ORDER2):
-        assert mse_to_oracle(kind, y0, cloud, 1e-3) < floor
+        assert mse_to_oracle(kind, y0, 1e-3) < floor
     # the raw augmented target converges too, only at the slower O(sigma^2) rate
-    aug_small = mse_to_oracle(EstimatorKind.AUG, y0, cloud, 1e-3, r_aug=r0)
+    aug_small = mse_to_oracle(EstimatorKind.AUG, y0, 1e-3, r_aug=r0)
     y1, r1 = noisy_pair(rng, cloud, 0.1)
-    aug_large = mse_to_oracle(EstimatorKind.AUG, y1, cloud, 0.1, r_aug=r1)
+    aug_large = mse_to_oracle(EstimatorKind.AUG, y1, 0.1, r_aug=r1)
     assert aug_small < aug_large
 
 
@@ -103,32 +114,70 @@ def test_sweep_deterministic_and_csv_round_trip(tmp_path, cloud):
     assert read_sweep_csv(path_a) == records
 
 
-def test_sweep_matches_per_draw_scalar_calls(cloud):
-    # the old per-draw path, one scalar target call per kind: same RNG stream and
-    # the same numbers, bit for bit
-    sigmas, n_noise, seed, tol = [0.01, 0.1, 0.3, 1.0], 3, 5, 1e-6
-    records = error_sweep(cloud, sigmas, n_noise=n_noise, seed=seed, tol=tol)
-    kinds = [EstimatorKind.AUG, EstimatorKind.ORDER0, EstimatorKind.ORDER1, EstimatorKind.ORDER2]
-    want = []
+def _per_draw_sweep(x, sigmas, n_noise, seed, tol):
+    """The sweep rebuilt draw by draw from one scalar target call per kind:
+    (sigma, kind, mean_mse, stderr, n_samples, n_excluded) per record."""
+    rows = []
     for si, sigma in enumerate(sigmas):
-        vals = {kind: [] for kind in kinds}
+        vals = {kind: [] for kind in SWEEP_KINDS}
         for j in range(n_noise):
             rng = np.random.default_rng([seed, si, j])
             r_aug = sample_haar(rng)
-            y = center(rotate(r_aug, cloud) + sigma * rng.standard_normal(cloud.shape))
-            oracle = estimator_target(EstimatorKind.ORACLE, y, cloud, sigma, tol=tol)
-            for kind in kinds:
+            y = center(rotate(r_aug, x) + sigma * rng.standard_normal(x.shape))
+            try:
+                oracle = estimator_target(EstimatorKind.ORACLE, y, x, sigma, tol=tol)
+            except NoConvergenceError:
+                continue
+            for kind in SWEEP_KINDS:
                 r = r_aug if kind is EstimatorKind.AUG else None
                 try:
-                    target = estimator_target(kind, y, cloud, sigma, r_aug=r, tol=tol)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", DegenerateAlignmentWarning)
+                        target = estimator_target(kind, y, x, sigma, r_aug=r, tol=tol)
                 except ExpansionSingularError:
                     continue
                 vals[kind].append(frobenius_norm_sq(target - oracle))
-        for kind in kinds:
+        for kind in SWEEP_KINDS:
             v = np.array(vals[kind])
-            stderr = float(np.std(v, ddof=1) / np.sqrt(len(v)))
-            want.append((sigma, kind, float(np.mean(v)), stderr))
-    assert [(r.sigma, r.kind, r.mean_mse, r.stderr) for r in records] == want
+            n = len(v)
+            mean = float(np.mean(v)) if n else float("nan")
+            stderr = float(np.std(v, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+            rows.append((sigma, kind, mean, stderr, n, n_noise - n))
+    return rows
+
+
+def _record_rows(records):
+    return [(r.sigma, r.kind, r.mean_mse, r.stderr, r.n_samples, r.n_excluded) for r in records]
+
+
+ASCENDING_LADDERS = st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=6, unique=True).map(sorted)
+
+
+@example(sigmas=[0.01, 0.1, 0.3, 1.0], n_noise=3, seed=5)
+@settings(max_examples=25, deadline=None)
+@given(sigmas=ASCENDING_LADDERS, n_noise=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_sweep_matches_per_draw_scalar_calls(cloud, sigmas, n_noise, seed):
+    # the stacked sweep against one scalar target call per kind and draw: same
+    # RNG stream and the same numbers and counts, bit for bit (repr keeps NaN equal)
+    tol = 1e-6
+    records = error_sweep(cloud, sigmas, n_noise=n_noise, seed=seed, tol=tol)
+    assert repr(_record_rows(records)) == repr(_per_draw_sweep(cloud, sigmas, n_noise, seed, tol))
+
+
+def test_sweep_collinear_cloud_matches_per_draw_scalar_calls():
+    # y.T @ x has rank 1: orders 1 and 2 are excluded on every draw, and the
+    # degenerate alignment is still scored and warns once per sweep
+    x = center(np.outer(np.linspace(-1.0, 1.5, 7), [1.0, 2.0, -0.5]))
+    sigmas, n_noise, seed, tol = [0.02, 0.2, 1.0], 3, 8, 1e-6
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = error_sweep(x, sigmas, n_noise=n_noise, seed=seed, tol=tol)
+    assert [w.category for w in caught] == [DegenerateAlignmentWarning]
+    assert repr(_record_rows(records)) == repr(_per_draw_sweep(x, sigmas, n_noise, seed, tol))
+    for r in records:
+        excluded = r.kind in (EstimatorKind.ORDER1, EstimatorKind.ORDER2)
+        assert r.n_excluded == (n_noise if excluded else 0)
+        assert np.isnan(r.mean_mse) == excluded
 
 
 def test_sweep_hierarchy_holds_on_every_draw():
