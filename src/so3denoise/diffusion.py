@@ -254,19 +254,18 @@ def train(
     model = MlpDenoiser.initialize(n_points, cfg.hidden, s_ref, rng)
 
     def draw_batch(size: int):
-        """(ys, xs, r_aug) stacks, drawn in the order a loop of ``noise_sample``
-        calls the generator: item by item where all-frames mode interleaves
-        each item's frame index, else one draw of every item's normals."""
+        """(ys, xs, r_aug) stacks; the generator is called item by item, in
+        the order ``noise_sample`` calls it, so the stream matches a loop of it."""
         idx = np.zeros(size, dtype=int)
-        z = np.empty((size, 4 + 3 * n_points))  # per item: 4 Haar normals, then the noise
-        if cfg.dataset_mode == "single-frame":
-            rng.standard_normal(out=z)
-        else:
-            for i in range(size):
+        q = np.empty((size, 4))
+        eta = np.empty((size, n_points, 3))
+        for i in range(size):
+            if cfg.dataset_mode == "all-frames":
                 idx[i] = rng.integers(len(frames))
-                rng.standard_normal(out=z[i])
+            rng.standard_normal(out=q[i])
+            rng.standard_normal(out=eta[i])
         xs = frames[idx]
-        ys, r_aug = _noised(xs, z[:, :4], z[:, 4:].reshape(size, n_points, 3), cfg.sigma)
+        ys, r_aug = _noised(xs, q, eta, cfg.sigma)
         return ys, xs, r_aug
 
     probe_ys, probe_xs, probe_r = draw_batch(probe_size)

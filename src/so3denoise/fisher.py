@@ -47,14 +47,10 @@ class MatrixFisher:
 def _check_sigma(sigma: float | np.ndarray, shape: tuple[int, ...] = ()) -> None:
     """Reject noise levels that are not positive and finite (NaN included);
     an array of per-item levels must have the stack's leading ``shape``."""
-    if isinstance(sigma, float):
-        ok = 0 < sigma < math.inf
-    else:
-        s = np.asarray(sigma, dtype=float)
-        if s.ndim and s.shape != shape:
-            raise ValueError(f"sigma of shape {s.shape} does not match the stack's {shape}")
-        ok = ((0 < s) & (s < math.inf)).all()
-    if not ok:
+    s = np.asarray(sigma, dtype=float)
+    if s.ndim and s.shape != shape:
+        raise ValueError(f"sigma of shape {s.shape} does not match the stack's {shape}")
+    if not ((0 < s) & (s < math.inf)).all():
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
@@ -123,11 +119,11 @@ _POW = np.frompyfunc(math.pow, 2, 1)
 
 
 def _power(d: float | np.ndarray, p: float) -> np.ndarray:
-    # ``d ** p`` on a float or a numpy scalar calls libm pow; an array is
-    # raised one element at a time through it, because numpy's array ``**``
-    # rounds differently (pow and d * d differ in the last bit for about one
-    # value in 1200) and seeded results are pinned to the pow rounding.
-    return np.asarray(d**p if isinstance(d, float) else _POW(d, p), dtype=float)
+    # Raised one element at a time through libm pow, as ``d ** p`` does on a
+    # float or a numpy scalar: numpy's array ``**`` rounds differently (pow
+    # and d * d differ in the last bit for about one value in 1200), and
+    # seeded results are pinned to the pow rounding.
+    return np.asarray(_POW(d, p), dtype=float)
 
 
 def _diagonal(d: np.ndarray, singular: np.ndarray, scale: float) -> np.ndarray:

@@ -18,6 +18,7 @@ from so3denoise.diffusion import MlpDenoiser, mlp_forward
 from so3denoise.estimators import DegenerateAlignmentWarning, EstimatorKind, estimator_target
 from so3denoise.fisher import (
     ExpansionSingularError,
+    _power,
     c1,
     c2,
     expansion_singular,
@@ -84,24 +85,49 @@ def test_kabsch_stack_equals_per_item(pairs):
         assert one.degenerate == degenerate[i]
 
 
+# noise levels where numpy's array power and libm pow (Python's float ``**``)
+# round sigma**2, and sigma**4, to different doubles on x86-64 with glibc
+SIGMA_SQUARE_PIN = 0.5212416573669058
+SIGMA_FOURTH_PIN = 1.598336239474182
+PINNED_SIGMAS = [SIGMA_SQUARE_PIN, SIGMA_FOURTH_PIN]
+
+
+@pytest.mark.parametrize("sigma, p", [(SIGMA_SQUARE_PIN, 2.0), (SIGMA_FOURTH_PIN, 4.0)])
+def test_pinned_sigmas_round_differently_under_numpy_powers(sigma, p):
+    assert _power(np.array([sigma]), p)[0] == _power(sigma, p) == sigma**p
+    if (np.array([sigma]) ** p)[0] == sigma**p:
+        pytest.skip("numpy's array power rounds like libm pow here; the pin does not discriminate")
+
+
+def _sigma_per_item(sigma, n):
+    """``sigma`` as the stack call takes it (one float, or an array of the
+    first ``n`` per-item levels) and as the n scalar calls take it."""
+    if isinstance(sigma, float):
+        return sigma, [sigma] * n
+    return np.array(sigma[:n]), [float(s) for s in sigma[:n]]
+
+
+@example([np.diag([1.0, 0.7, 0.4])] * 2, PINNED_SIGMAS, 1)
+@example([np.diag([1.0, 0.7, 0.4])] * 2, PINNED_SIGMAS, 2)
 @SETTINGS
 @given(
     st.lists(spectrum_matrix(), min_size=1, max_size=6),
-    st.floats(1e-3, 10.0),
+    st.floats(1e-3, 10.0) | st.lists(st.floats(1e-3, 10.0), min_size=6, max_size=6),
     st.sampled_from([0, 1, 2]),
 )
 def test_mf_mean_laplace_stack_equals_per_item(mats, sigma, order):
     a = np.stack(mats)
+    sigma, item_sigmas = _sigma_per_item(sigma, len(mats))
     mean, singular = mf_mean_laplace(a, sigma, order)
     spectra = proper_svd(a).s
     assert np.array_equal(singular, expansion_singular(spectra) if order else np.zeros(len(a), bool))
-    for i, m in enumerate(mats):
+    for i, (m, s) in enumerate(zip(mats, item_sigmas)):
         if singular[i]:
             with pytest.raises(ExpansionSingularError):
-                mf_mean_laplace(m, sigma, order)
+                mf_mean_laplace(m, s, order)
             assert np.all(np.isnan(mean[i]))
             continue
-        assert np.array_equal(mf_mean_laplace(m, sigma, order), mean[i])
+        assert np.array_equal(mf_mean_laplace(m, s, order), mean[i])
     for coeff in (c1, c2):
         rows = coeff(spectra)
         for i, s in enumerate(spectra):
@@ -133,43 +159,6 @@ def test_mf_mean_quadrature_stack_equals_per_item(mats, tol):
     assert np.array_equal(converged2[0], converged)
 
 
-# noise levels where numpy's array power and libm pow (Python's float ``**``)
-# round sigma**2, and sigma**4, to different doubles
-SIGMA_SQUARE_PIN = 0.5212416573669058
-SIGMA_FOURTH_PIN = 1.598336239474182
-PER_ITEM_SIGMA = st.floats(1e-3, 10.0)
-
-
-def test_pinned_sigmas_round_differently_under_numpy_powers():
-    s2, s4 = np.array([SIGMA_SQUARE_PIN]), np.array([SIGMA_FOURTH_PIN])
-    assert (s2**2)[0] != SIGMA_SQUARE_PIN**2
-    assert (s4**4)[0] != SIGMA_FOURTH_PIN**4
-
-
-@example([np.diag([1.0, 0.7, 0.4])] * 2, [SIGMA_SQUARE_PIN, SIGMA_FOURTH_PIN], 1)
-@example([np.diag([1.0, 0.7, 0.4])] * 2, [SIGMA_SQUARE_PIN, SIGMA_FOURTH_PIN], 2)
-@SETTINGS
-@given(
-    st.lists(spectrum_matrix(), min_size=1, max_size=6),
-    st.lists(PER_ITEM_SIGMA, min_size=6, max_size=6),
-    st.sampled_from([0, 1, 2]),
-)
-def test_mf_mean_laplace_per_item_sigma_equals_scalar_calls(mats, sigmas, order):
-    a = np.stack(mats)
-    sigma = np.array(sigmas[: len(mats)])
-    mean, singular = mf_mean_laplace(a, sigma, order)
-    want = np.zeros(len(a), bool)
-    for i, m in enumerate(mats):
-        try:
-            one = mf_mean_laplace(m, float(sigma[i]), order)
-        except ExpansionSingularError:
-            want[i] = True
-            assert np.all(np.isnan(mean[i]))
-            continue
-        assert np.array_equal(one, mean[i])
-    assert np.array_equal(singular, want)
-
-
 def _pin_pair(seed):
     """A unit-scale cloud and a noisy rotated copy of it."""
     rng = np.random.default_rng(seed)
@@ -177,32 +166,7 @@ def _pin_pair(seed):
     return center(rotate(sample_haar(rng), x) + 0.3 * rng.standard_normal(x.shape)), x
 
 
-PINNED_ITEMS = [(_pin_pair(0), SIGMA_SQUARE_PIN), (_pin_pair(1), SIGMA_FOURTH_PIN)]
-
-
-@example(PINNED_ITEMS, EstimatorKind.ORACLE, 0)
-@example(PINNED_ITEMS, EstimatorKind.ORDER2, 0)
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.tuples(cloud_pair(), PER_ITEM_SIGMA), min_size=1, max_size=5),
-    st.sampled_from(list(EstimatorKind)),
-    st.integers(0, 2**32 - 1),
-)
-def test_estimator_target_per_item_sigma_equals_scalar_calls(items, kind, seed):
-    ys, xs = (np.stack(part) for part in zip(*(pair for pair, _ in items)))
-    sigma = np.array([s for _, s in items])
-    r_aug = sample_haar(np.random.default_rng(seed), len(items)) if kind is EstimatorKind.AUG else None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateAlignmentWarning)
-        targets, keep = estimator_target(kind, ys, xs, sigma, r_aug=r_aug, tol=1e-8)
-    assert targets.shape == ys.shape and keep.shape == (len(items),)
-    for i, ((y, x), s) in enumerate(items):
-        want, _ = _scalar_target(kind, y, x, s, None if r_aug is None else r_aug[i])
-        assert keep[i] == (want is not None)
-        if want is None:
-            assert np.all(np.isnan(targets[i]))
-        else:
-            assert np.array_equal(want, targets[i])
+PINNED_PAIRS = [_pin_pair(0), _pin_pair(1)]
 
 
 def test_per_item_sigma_must_match_the_stack():
@@ -249,16 +213,25 @@ def _scalar_target(kind, y, x, sigma, r_aug):
     return t, any(issubclass(w.category, DegenerateAlignmentWarning) for w in caught)
 
 
+@st.composite
+def pairs_and_sigma(draw):
+    """Cloud pairs and one noise level, or one per pair, relative to the
+    stack's scale."""
+    pairs = draw(st.lists(cloud_pair(), min_size=1, max_size=5))
+    xs = np.stack([x for _, x in pairs])
+    scale = max(float(np.sqrt(np.mean(xs * xs))), 1e-12)
+    rel = draw(st.floats(1e-3, 2.0) | st.lists(st.floats(1e-3, 2.0), min_size=5, max_size=5))
+    return pairs, rel * scale if isinstance(rel, float) else [r * scale for r in rel]
+
+
+@example((PINNED_PAIRS, PINNED_SIGMAS), EstimatorKind.ORACLE, 0)
+@example((PINNED_PAIRS, PINNED_SIGMAS), EstimatorKind.ORDER2, 0)
 @settings(max_examples=40, deadline=None)
-@given(
-    st.lists(cloud_pair(), min_size=1, max_size=5),
-    st.floats(1e-3, 2.0),
-    st.sampled_from(list(EstimatorKind)),
-    st.integers(0, 2**32 - 1),
-)
-def test_estimator_target_stack_equals_per_item(pairs, rel_sigma, kind, seed):
+@given(pairs_and_sigma(), st.sampled_from(list(EstimatorKind)), st.integers(0, 2**32 - 1))
+def test_estimator_target_stack_equals_per_item(pairs_sigma, kind, seed):
+    pairs, sigma = pairs_sigma
+    sigma, item_sigmas = _sigma_per_item(sigma, len(pairs))
     ys, xs = (np.stack(part) for part in zip(*pairs))
-    sigma = rel_sigma * max(float(np.sqrt(np.mean(xs * xs))), 1e-12)
     r_aug = sample_haar(np.random.default_rng(seed), len(pairs)) if kind is EstimatorKind.AUG else None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -266,8 +239,8 @@ def test_estimator_target_stack_equals_per_item(pairs, rel_sigma, kind, seed):
     batch_warnings = [w for w in caught if issubclass(w.category, DegenerateAlignmentWarning)]
     assert targets.shape == ys.shape and keep.shape == (len(pairs),)
     any_degenerate = False
-    for i, (y, x) in enumerate(pairs):
-        want, warned = _scalar_target(kind, y, x, sigma, None if r_aug is None else r_aug[i])
+    for i, ((y, x), s) in enumerate(zip(pairs, item_sigmas)):
+        want, warned = _scalar_target(kind, y, x, s, None if r_aug is None else r_aug[i])
         any_degenerate |= warned
         assert keep[i] == (want is not None)
         if want is None:
