@@ -59,14 +59,11 @@ from .fisher import (
 from .geom import (
     ProperSvd,
     center,
-    exp_map,
     frobenius_norm_sq,
-    haar_density_expmap,
     is_rotation,
     proper_svd,
     rotate,
     sample_haar,
-    skew,
 )
 from .quadrature import (
     NoConvergenceError,

@@ -6,6 +6,14 @@ Gradients are computed by manual reverse-mode differentiation (targets
 are constants; there is no gradient through the alignment/SVD).  A run
 that produces non-finite losses or parameters terminates with a
 ``diverged`` status instead of crashing.
+
+Training runs in blocks of steps.  A step's draws and targets depend only
+on the seeded stream, not on the model, and the probe metrics never feed
+the update, so each block draws all its batches (item by item, in the
+stream's order), noises them and computes their targets in one stacked
+pass, and scores the probe predictions of all its steps in one stacked
+pass when it ends.  Each step keeps only its forward/backward pass and
+its Adam update.
 """
 
 from __future__ import annotations
@@ -21,6 +29,9 @@ from .estimators import EstimatorKind, _read_csv, _write_csv, estimator_target
 from .geom import center, haar_from_normals, rotate
 
 _PARAM_FIELDS = ("w1", "b1", "w2", "b2")
+
+# cap on the points (steps x batch x N) a training block draws and scores at once
+_BLOCK_POINTS = 4096
 
 
 @dataclass
@@ -187,25 +198,13 @@ def _targets(ys, xs, r_aug, sigma: float, estimator: EstimatorKind, tol: float):
     )
 
 
-def loss_and_grad(
-    m: MlpDenoiser,
-    batch: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    sigma: float,
-    estimator: EstimatorKind,
-    tol: float = 1e-8,
+def _batch_loss_and_grad(
+    m: MlpDenoiser, ys: np.ndarray, targets: np.ndarray, keep: np.ndarray, sigma: float
 ) -> LossAndGrad:
-    """Mean matching loss over a batch and its parameter gradients.
-
-    ``batch`` holds (y, x, r_aug) triples.  Targets are constants in the
-    backward pass.  Samples whose target cannot be computed are excluded
-    and counted; an entirely excluded batch raises ``ValueError``.
-    """
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    ys, xs, r_aug = (np.stack(part) for part in zip(*batch))
-    targets, keep = _targets(ys, xs, r_aug, sigma, estimator, tol)
+    """Loss and gradients of a stacked batch against its precomputed targets."""
     if not keep.any():
         raise ValueError("every sample in the batch was excluded")
+    n = ys.shape[0]
     if not keep.all():
         ys, targets = ys[keep], targets[keep]
     b = ys.shape[0]
@@ -226,7 +225,26 @@ def loss_and_grad(
         "w1": g_pre.T @ feats,
         "b1": g_pre.sum(axis=0),
     }
-    return LossAndGrad(loss, grads, len(batch) - b)
+    return LossAndGrad(loss, grads, n - b)
+
+
+def loss_and_grad(
+    m: MlpDenoiser,
+    batch: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    sigma: float,
+    estimator: EstimatorKind,
+    tol: float = 1e-8,
+) -> LossAndGrad:
+    """Mean matching loss over a batch and its parameter gradients.
+
+    ``batch`` holds (y, x, r_aug) triples.  Targets are constants in the
+    backward pass.  Samples whose target cannot be computed are excluded
+    and counted; an entirely excluded batch raises ``ValueError``.
+    """
+    if not batch:
+        raise ValueError("batch must be nonempty")
+    ys, xs, r_aug = (np.stack(part) for part in zip(*batch))
+    return _batch_loss_and_grad(m, ys, *_targets(ys, xs, r_aug, sigma, estimator, tol), sigma)
 
 
 def train(
@@ -243,6 +261,13 @@ def train(
     state (its loss is evaluated on the probe batch).  Fully
     deterministic given the config seed.  Non-finite losses or
     parameters stop the run with status ``"diverged"``.
+
+    Steps run in blocks of at most ``_BLOCK_POINTS`` drawn points (at
+    least one step): a block's batches are drawn, noised and given their
+    targets in one stacked pass, and its probe predictions are scored in
+    one stacked pass when it ends or diverges.  Results are bit for bit
+    those of drawing, scoring and probing step by step; on divergence the
+    rest of the block's draws are made but not used.
     """
     frames = np.asarray(dataset, dtype=float)
     if frames.ndim != 3 or frames.shape[0] < 1 or frames.shape[2] != 3:
@@ -272,19 +297,35 @@ def train(
     probe_truth = rotate(probe_r, probe_xs)
     probe_targets, probe_keep = _targets(probe_ys, probe_xs, probe_r, cfg.sigma, cfg.estimator, tol)
 
-    def probe_metrics(step: int, loss: float, n_excluded: int) -> StepMetrics:
-        pred = mlp_forward(model, probe_ys, cfg.sigma)
-        r = float(np.mean(rmsd(pred, probe_truth)))
-        a = float(np.mean(aligned_rmsd(pred, probe_xs)))
-        return StepMetrics(step, loss, r, a, n_excluded)
+    block_steps = max(1, _BLOCK_POINTS // (cfg.batch * n_points))
+    preds = np.empty((block_steps, probe_size, n_points, 3))  # probe predictions of a block
+    pending: list[tuple[int, float, int]] = []  # (step, loss, n_excluded) rows of those
+    metrics: list[StepMetrics] = []
+
+    def flush() -> None:
+        """Score the pending probe predictions in one stacked pass and append their rows."""
+        stack = preds[: len(pending)]
+        r = rmsd(stack, np.broadcast_to(probe_truth, stack.shape))
+        a = aligned_rmsd(stack, np.broadcast_to(probe_xs, stack.shape))
+        for j, (step, loss, n_excluded) in enumerate(pending):
+            metrics.append(StepMetrics(step, loss, float(np.mean(r[j])), float(np.mean(a[j])), n_excluded))
+        pending.clear()
+
+    def probe(step: int, loss: float, n_excluded: int) -> None:
+        preds[len(pending)] = mlp_forward(model, probe_ys, cfg.sigma)
+        pending.append((step, loss, n_excluded))
+
+    def diverged(step: int) -> TrainResult:
+        flush()
+        return TrainResult(model, metrics, "diverged", step)
 
     if probe_keep.any():
-        preds = mlp_forward(model, probe_ys[probe_keep], cfg.sigma)
-        diff = preds - probe_targets[probe_keep]
+        diff = mlp_forward(model, probe_ys[probe_keep], cfg.sigma) - probe_targets[probe_keep]
         probe_loss = float(np.sum(diff**2) / np.count_nonzero(probe_keep))
     else:
         probe_loss = float("nan")
-    metrics = [probe_metrics(0, probe_loss, 0)]
+    probe(0, probe_loss, 0)
+    flush()
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     moment1 = {k: np.zeros_like(v) for k, v in model.params().items()}
@@ -292,24 +333,35 @@ def train(
 
     # overflow inside a step is the divergence signal, surfaced via the status
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, cfg.steps + 1):
-            # (y, x, r_aug) triples: the step goes through the public loss_and_grad
-            batch = list(zip(*draw_batch(cfg.batch)))
+        for first in range(1, cfg.steps + 1, block_steps):
+            n_steps = min(block_steps, cfg.steps + 1 - first)
+            ys, xs, r_aug = draw_batch(n_steps * cfg.batch)
             try:
-                loss, grads, n_excluded = loss_and_grad(model, batch, cfg.sigma, cfg.estimator, tol)
-            except ValueError:
-                return TrainResult(model, metrics, "diverged", step)
-            if not np.isfinite(loss):
-                return TrainResult(model, metrics, "diverged", step)
-            for name, g in grads.items():
-                moment1[name] = beta1 * moment1[name] + (1 - beta1) * g
-                moment2[name] = beta2 * moment2[name] + (1 - beta2) * g * g
-                m_hat = moment1[name] / (1 - beta1**step)
-                v_hat = moment2[name] / (1 - beta2**step)
-                setattr(model, name, getattr(model, name) - cfg.lr * m_hat / (np.sqrt(v_hat) + eps))
-            if not all(np.all(np.isfinite(p)) for p in model.params().values()):
-                return TrainResult(model, metrics, "diverged", step)
-            metrics.append(probe_metrics(step, loss, n_excluded))
+                targets, keep = _targets(ys, xs, r_aug, cfg.sigma, cfg.estimator, tol)
+            except ValueError:  # some batch cannot be scored: score step by step to find it
+                targets = keep = None
+            for step in range(first, first + n_steps):
+                rows = slice((step - first) * cfg.batch, (step - first + 1) * cfg.batch)
+                try:
+                    if targets is None:
+                        t, k = _targets(ys[rows], xs[rows], r_aug[rows], cfg.sigma, cfg.estimator, tol)
+                    else:
+                        t, k = targets[rows], keep[rows]
+                    loss, grads, n_excluded = _batch_loss_and_grad(model, ys[rows], t, k, cfg.sigma)
+                except ValueError:
+                    return diverged(step)
+                if not np.isfinite(loss):
+                    return diverged(step)
+                for name, g in grads.items():
+                    moment1[name] = beta1 * moment1[name] + (1 - beta1) * g
+                    moment2[name] = beta2 * moment2[name] + (1 - beta2) * g * g
+                    m_hat = moment1[name] / (1 - beta1**step)
+                    v_hat = moment2[name] / (1 - beta2**step)
+                    setattr(model, name, getattr(model, name) - cfg.lr * m_hat / (np.sqrt(v_hat) + eps))
+                if not all(np.all(np.isfinite(p)) for p in model.params().values()):
+                    return diverged(step)
+                probe(step, loss, n_excluded)
+            flush()
     return TrainResult(model, metrics, "completed", None)
 
 

@@ -129,51 +129,3 @@ def proper_svd(a: np.ndarray) -> ProperSvd:
         factor[..., 2] *= sign[..., None]
         s[..., 2] *= sign
     return ProperSvd(u, s, v)
-
-
-def skew(theta: np.ndarray) -> np.ndarray:
-    """Skew-symmetric (hat) matrix of a 3-vector; batched over ``(..., 3)``."""
-    theta = np.asarray(theta, dtype=float)
-    k = np.zeros(theta.shape[:-1] + (3, 3))
-    k[..., 0, 1] = -theta[..., 2]
-    k[..., 0, 2] = theta[..., 1]
-    k[..., 1, 0] = theta[..., 2]
-    k[..., 1, 2] = -theta[..., 0]
-    k[..., 2, 0] = -theta[..., 1]
-    k[..., 2, 1] = theta[..., 0]
-    return k
-
-
-def exp_map(theta: np.ndarray) -> np.ndarray:
-    """Rodrigues exponential map so(3) -> SO(3), batched over ``(..., 3)``.
-
-    Uses sinc-based coefficients sin(r)/r and (1 - cos r)/r^2, which are
-    exact and stable through r = 0 (the identity limit).
-    """
-    theta = np.asarray(theta, dtype=float)
-    r = np.linalg.norm(theta, axis=-1)
-    a = np.sinc(r / np.pi)                      # sin(r)/r
-    b = 0.5 * np.sinc(r / (2.0 * np.pi)) ** 2   # (1 - cos r)/r^2
-    k = skew(theta)
-    k2 = k @ k
-    eye = np.broadcast_to(np.eye(3), k.shape)
-    return eye + a[..., None, None] * k + b[..., None, None] * k2
-
-
-def _expmap_density(r: np.ndarray) -> np.ndarray:
-    """Haar density (1 - cos r)/(4 pi^2 r^2) as a function of the angle r."""
-    return 0.5 * np.sinc(np.asarray(r, dtype=float) / (2.0 * np.pi)) ** 2 / (4.0 * np.pi**2)
-
-
-def haar_density_expmap(theta: np.ndarray) -> float:
-    """Haar density of SO(3) in exponential-map coordinates.
-
-    Returns (1 - cos ||theta||) / (4 pi^2 ||theta||^2), with the analytic
-    limit 1/(8 pi^2) at theta = 0.  Valid only inside the injectivity
-    ball ``||theta|| <= pi``; larger inputs raise ``ValueError``.
-    """
-    theta = np.asarray(theta, dtype=float)
-    r = float(np.linalg.norm(theta))
-    if r > np.pi + 1e-12:
-        raise ValueError(f"||theta|| = {r} exceeds pi")
-    return float(_expmap_density(r))

@@ -164,8 +164,8 @@ def mf_mean_quadrature(p: MatrixFisher | np.ndarray, tol: float = 1e-8) -> np.nd
     ``OracleMean(mean, converged)`` instead, NaN where not converged; each
     item stops at its own level, so it equals its single call exactly.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     f = p.f if isinstance(p, MatrixFisher) else np.asarray(p, dtype=float)
     u, s, v = proper_svd(f)
     u, s, vt = u.reshape(-1, 3, 3), s.reshape(-1, 3), transpose(v).reshape(-1, 3, 3)

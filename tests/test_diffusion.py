@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from so3denoise import diffusion
 from so3denoise.align import aligned_rmsd, rmsd
 from so3denoise.diffusion import (
     DdimSchedule,
@@ -374,16 +375,53 @@ def _reference_train(cfg, frames, probe_size=16, tol=1e-8):
     return TrainResult(model, metrics, "completed", None)
 
 
+def _use_blocks_of(monkeypatch, steps, cfg, frames):
+    """Make ``train`` run in blocks of ``steps`` steps for this config and dataset."""
+    monkeypatch.setattr(diffusion, "_BLOCK_POINTS", steps * cfg.batch * frames.shape[1])
+
+
+def _same_checkpoint(tmp_path, cfg, got, want):
+    for result, name in ((got, "got.bin"), (want, "want.bin")):
+        save_denoiser(result.model, tmp_path / name, seed=cfg.seed, config=cfg)
+    return (tmp_path / "got.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
+
+
 @pytest.mark.parametrize("mode", ["all-frames", "single-frame"])
 @pytest.mark.parametrize("kind", ["aug", "order0", "order1", "order2"])
-def test_train_bit_identical_to_per_sample_loop(tmp_path, traj, kind, mode):
+def test_train_bit_identical_to_per_sample_loop(monkeypatch, tmp_path, traj, kind, mode):
     cfg = TrainConfig(sigma=0.5, estimator=kind, steps=20, batch=8, seed=11, dataset_mode=mode)
+    _use_blocks_of(monkeypatch, 3, cfg, traj.frames)  # six full blocks, then a partial one
     got, want = train(cfg, traj.frames), _reference_train(cfg, traj.frames)
     assert got.status == want.status == "completed"
     assert got.metrics == want.metrics
-    for result, name in ((got, "got.bin"), (want, "want.bin")):
-        save_denoiser(result.model, tmp_path / name, seed=cfg.seed, config=cfg)
-    assert (tmp_path / "got.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
+    assert _same_checkpoint(tmp_path, cfg, got, want)
+
+
+def test_train_divergence_mid_block_matches_per_sample_loop(monkeypatch, tmp_path, traj):
+    # the probe rows of the block's earlier steps must be scored before the return
+    cfg = TrainConfig(sigma=0.5, estimator="order0", steps=20, batch=8, seed=11, lr=1e200)
+    _use_blocks_of(monkeypatch, 3, cfg, traj.frames)
+    got, want = train(cfg, traj.frames), _reference_train(cfg, traj.frames)
+    assert want.status == "diverged" and (want.diverged_at - 1) % 3 != 0  # not a block's first step
+    assert (got.status, got.diverged_at) == (want.status, want.diverged_at)
+    assert repr(got.metrics) == repr(want.metrics)
+    assert _same_checkpoint(tmp_path, cfg, got, want)
+
+
+def test_train_unscorable_batch_diverges_at_its_own_step(monkeypatch, traj):
+    # an all-zero frame has no alignment, so the block's stacked order-0 target pass
+    # raises; the run must still stop at the step that drew it, as step by step
+    frames = traj.frames.copy()
+    frames[5] = 0.0
+    cfg = TrainConfig(sigma=0.5, estimator="order0", steps=20, batch=8, seed=9)
+    runs = []
+    for steps in (1, 3):
+        _use_blocks_of(monkeypatch, steps, cfg, frames)
+        runs.append(train(cfg, frames, probe_size=4))
+    step_by_step, blocked = runs
+    assert (step_by_step.status, step_by_step.diverged_at) == ("diverged", 8)
+    assert (blocked.status, blocked.diverged_at) == ("diverged", 8)
+    assert repr(blocked.metrics) == repr(step_by_step.metrics)
 
 
 def test_train_excludes_singular_targets_like_per_sample_loop(traj):

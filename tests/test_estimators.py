@@ -218,6 +218,8 @@ def test_sweep_argument_validation(cloud):
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             error_sweep(cloud, [0.1, bad], n_noise=2, seed=0)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            error_sweep(cloud, [0.1], n_noise=2, seed=0, tol=bad)
 
 
 def test_equivariance_and_conditioning_invariance_of_orders(cloud):

@@ -4,9 +4,7 @@ from scipy import stats
 
 from so3denoise.geom import (
     center,
-    exp_map,
     frobenius_norm_sq,
-    haar_density_expmap,
     is_rotation,
     proper_svd,
     rotate,
@@ -121,35 +119,3 @@ def test_proper_svd_rejects_nonfinite():
     with pytest.raises(ValueError):
         proper_svd(bad)
 
-
-def test_exp_map_special_values():
-    np.testing.assert_array_equal(exp_map(np.zeros(3)), np.eye(3))
-    np.testing.assert_allclose(exp_map([np.pi, 0, 0]), np.diag([1.0, -1.0, -1.0]), atol=1e-15)
-
-
-def test_exp_map_inverse():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        theta = rng.standard_normal(3)
-        theta *= rng.uniform(0, np.pi) / np.linalg.norm(theta)
-        r = exp_map(theta)
-        assert is_rotation(r, tol=1e-13)
-        np.testing.assert_allclose(r @ exp_map(-theta), np.eye(3), atol=1e-12)
-
-
-def test_haar_density_expmap_limits():
-    assert haar_density_expmap(np.zeros(3)) == pytest.approx(1.0 / (8 * np.pi**2), rel=1e-12)
-    assert haar_density_expmap([1e-6, 0, 0]) == pytest.approx(1.0 / (8 * np.pi**2), rel=1e-9)
-    assert haar_density_expmap([np.pi, 0, 0]) == pytest.approx(1.0 / (2 * np.pi**4), rel=1e-12)
-    with pytest.raises(ValueError):
-        haar_density_expmap([np.pi + 1e-6, 0, 0])
-
-
-def test_haar_density_expmap_total_mass():
-    # independent radial quadrature of 4 pi r^2 * density over [0, pi]
-    r, w = np.polynomial.legendre.leggauss(128)
-    r = (r + 1.0) * (np.pi / 2)
-    w = w * (np.pi / 2)
-    vals = np.array([haar_density_expmap([ri, 0.0, 0.0]) for ri in r])
-    mass = np.sum(w * 4 * np.pi * r**2 * vals)
-    assert mass == pytest.approx(1.0, abs=1e-6)

@@ -129,6 +129,11 @@ def test_mean_quadrature_no_convergence_carries_estimates(monkeypatch):
     mean, converged = mf_mean_quadrature(np.stack([p.f, np.zeros((3, 3))]), tol=1e-12)
     assert converged.tolist() == [False, True]
     assert np.all(np.isnan(mean[0])) and np.all(np.isfinite(mean[1]))
+    # no comparison with a NaN tol is true, and every difference is below an infinite
+    # one: either would let this needle pass as converged after one halving
+    for bad in (0.0, -1e-12, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            mf_mean_quadrature(p, tol=bad)
 
 
 @pytest.mark.parametrize("spectrum", [(1e6, 5.0, 1.0), (1000.0, 1000.0, -999.99)])
