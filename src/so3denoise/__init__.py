@@ -52,7 +52,6 @@ from .fisher import (
     c2,
     expansion_singular,
     mf_from_observation,
-    mf_log_density_unnorm,
     mf_mean_laplace,
     mf_mode,
 )
@@ -60,7 +59,6 @@ from .geom import (
     ProperSvd,
     center,
     frobenius_norm_sq,
-    is_rotation,
     proper_svd,
     rotate,
     sample_haar,
@@ -71,7 +69,6 @@ from .quadrature import (
     So3Grid,
     mf_log_partition,
     mf_mean_quadrature,
-    mf_partition,
     oracle_conditional_denoiser,
     so3_grid_global,
 )

@@ -18,7 +18,7 @@ DEGENERACY_RTOL = 1e-9
 
 
 class AlignmentError(ValueError):
-    """Alignment is undefined (zero cross-covariance or shape mismatch)."""
+    """The clouds to align or compare have different shapes."""
 
 
 class KabschResult(NamedTuple):
@@ -32,10 +32,7 @@ def _kabsch(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     if y.shape != x.shape:
         raise AlignmentError(f"shape mismatch: {y.shape} vs {x.shape}")
-    a = transpose(y) @ x
-    if not a.any(axis=(-2, -1)).all():
-        raise AlignmentError("y.T @ x is zero; optimal rotation undefined")
-    u, s, v = proper_svd(a)
+    u, s, v = proper_svd(transpose(y) @ x)
     degenerate = s[..., 1] <= DEGENERACY_RTOL * s[..., 0]
     return u @ transpose(v), degenerate
 
@@ -46,7 +43,9 @@ def kabsch(y: np.ndarray, x: np.ndarray) -> KabschResult:
     Computed as ``u @ v.T`` from the sign-corrected SVD of ``y.T @ x``.
     When ``rank(y.T @ x) < 2`` the minimizer is not unique; the result is
     still returned but flagged ``degenerate=True`` so callers can fall
-    back or discard.  An all-zero cross-covariance raises
+    back or discard.  A zero cross-covariance is the rank-0 end of that
+    case: every rotation is optimal, and the identity is returned,
+    flagged degenerate.  Clouds of different shapes raise
     ``AlignmentError``.
 
     Stacks of clouds ``(..., N, 3)`` align pair by pair: the rotations

@@ -41,6 +41,11 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _json_number(v: float) -> float | None:
+    """``v``, or None for inf and NaN, which JSON has no number for."""
+    return v if np.isfinite(v) else None
+
+
 def _frame(traj, idx: int) -> np.ndarray:
     if not 0 <= idx < traj.n_frames:
         raise ValueError(f"frame {idx} out of range (trajectory has {traj.n_frames})")
@@ -126,9 +131,9 @@ def _cmd_train(args) -> int:
             "steps_recorded": len(result.metrics),
             "final": {
                 "step": last.step,
-                "loss": last.loss,
-                "rmsd": last.rmsd,
-                "aligned_rmsd": last.aligned_rmsd,
+                "loss": _json_number(last.loss),
+                "rmsd": _json_number(last.rmsd),
+                "aligned_rmsd": _json_number(last.aligned_rmsd),
             },
             "out_metrics": args.out_metrics,
             "out_model": args.out_model,

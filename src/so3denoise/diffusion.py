@@ -26,7 +26,7 @@ import numpy as np
 
 from .align import aligned_rmsd, rmsd
 from .estimators import EstimatorKind, _read_csv, _write_csv, estimator_target
-from .geom import center, haar_from_normals, rotate
+from .geom import _noised, center, rotate
 
 _PARAM_FIELDS = ("w1", "b1", "w2", "b2")
 
@@ -125,18 +125,6 @@ class DdimSchedule:
         if any(a <= b for a, b in zip(sig, sig[1:])):
             raise ValueError("schedule must be strictly descending")
         object.__setattr__(self, "sigmas", sig)
-
-
-def _noised(xs: np.ndarray, q: np.ndarray, eta: np.ndarray | None, sigma: float):
-    """Rotate clouds by the Haar rotations of normals ``q``, add ``sigma * eta``, re-center.
-
-    Works on one cloud or a stack; ``eta=None`` adds no noise.
-    """
-    r_aug = haar_from_normals(q)
-    z = rotate(r_aug, xs)
-    if eta is None:
-        return z, r_aug
-    return center(z + sigma * eta), r_aug
 
 
 def noise_sample(
@@ -260,7 +248,11 @@ def train(
     aligned RMSD to the clean frame.  Row 0 reports the pre-training
     state (its loss is evaluated on the probe batch).  Fully
     deterministic given the config seed.  Non-finite losses or
-    parameters stop the run with status ``"diverged"``.
+    parameters, or a batch whose samples are all excluded, stop the run
+    with status ``"diverged"``.  A dataset with non-finite coordinates
+    raises ``ValueError``; a frame whose alignment is degenerate (an
+    all-zero frame, say) is trained on like any other, with a
+    ``DegenerateAlignmentWarning`` under ORDER0.
 
     Steps run in blocks of at most ``_BLOCK_POINTS`` drawn points (at
     least one step): a block's batches are drawn, noised and given their
@@ -272,6 +264,8 @@ def train(
     frames = np.asarray(dataset, dtype=float)
     if frames.ndim != 3 or frames.shape[0] < 1 or frames.shape[2] != 3:
         raise ValueError("dataset must be a nonempty (frames, N, 3) array")
+    if not np.all(np.isfinite(frames)):
+        raise ValueError("dataset coordinates must be finite")
     n_points = frames.shape[1]
     s_ref = float(np.sqrt(np.mean(np.sum(frames[0] ** 2, axis=1))))
 
@@ -336,19 +330,14 @@ def train(
         for first in range(1, cfg.steps + 1, block_steps):
             n_steps = min(block_steps, cfg.steps + 1 - first)
             ys, xs, r_aug = draw_batch(n_steps * cfg.batch)
-            try:
-                targets, keep = _targets(ys, xs, r_aug, cfg.sigma, cfg.estimator, tol)
-            except ValueError:  # some batch cannot be scored: score step by step to find it
-                targets = keep = None
+            targets, keep = _targets(ys, xs, r_aug, cfg.sigma, cfg.estimator, tol)
             for step in range(first, first + n_steps):
                 rows = slice((step - first) * cfg.batch, (step - first + 1) * cfg.batch)
                 try:
-                    if targets is None:
-                        t, k = _targets(ys[rows], xs[rows], r_aug[rows], cfg.sigma, cfg.estimator, tol)
-                    else:
-                        t, k = targets[rows], keep[rows]
-                    loss, grads, n_excluded = _batch_loss_and_grad(model, ys[rows], t, k, cfg.sigma)
-                except ValueError:
+                    loss, grads, n_excluded = _batch_loss_and_grad(
+                        model, ys[rows], targets[rows], keep[rows], cfg.sigma
+                    )
+                except ValueError:  # every sample of the batch was excluded
                     return diverged(step)
                 if not np.isfinite(loss):
                     return diverged(step)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .align import _kabsch
 from .fisher import _check_sigma, _power, mf_from_observation, mf_mean_laplace
-from .geom import center, frobenius_norm_sq, haar_from_normals, rotate, transpose
+from .geom import _noised, frobenius_norm_sq, rotate, transpose
 from .quadrature import mf_mean_quadrature, oracle_conditional_denoiser
 
 SWEEP_CSV_HEADER = ["sigma", "kind", "mean_mse", "stderr", "n_samples", "n_excluded", "seed"]
@@ -165,8 +165,7 @@ def error_sweep(
             normals.append((rng.standard_normal(4), rng.standard_normal(x.shape)))
     q, eta = (np.stack(part) for part in zip(*normals))
     sigma = np.repeat(sig, n_noise)
-    r_aug = haar_from_normals(q)
-    ys = center(rotate(r_aug, x) + sigma[:, None, None] * eta)
+    ys, r_aug = _noised(x, q, eta, sigma[:, None, None])
     xs = np.broadcast_to(x, ys.shape)
 
     oracle, converged = estimator_target(EstimatorKind.ORACLE, ys, xs, sigma, tol=tol)

@@ -64,11 +64,6 @@ def mf_from_observation(y: np.ndarray, x: np.ndarray, sigma: float) -> MatrixFis
     return MatrixFisher(y.T @ x / sigma**2)
 
 
-def mf_log_density_unnorm(p: MatrixFisher, r: np.ndarray) -> float:
-    """Unnormalized log density Tr[f^T r]."""
-    return float(np.sum(p.f * np.asarray(r, dtype=float)))
-
-
 def mf_mode(p: MatrixFisher) -> np.ndarray:
     """Density maximizer ``u @ v.T`` from the sign-corrected SVD of ``f``."""
     if not np.any(p.f):

@@ -57,15 +57,6 @@ def frobenius_norm_sq(pc: np.ndarray) -> float:
     return float(np.sum(pc * pc))
 
 
-def is_rotation(m: np.ndarray, tol: float = 1e-12) -> bool:
-    """True if ``m`` is orthogonal with unit determinant within ``tol``."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3) or not np.all(np.isfinite(m)):
-        return False
-    ortho = np.linalg.norm(m.T @ m - np.eye(3)) <= tol
-    return bool(ortho and abs(np.linalg.det(m) - 1.0) <= tol)
-
-
 def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrices from unit quaternions ``(..., 4)``, scalar first."""
     w, x, y, z = np.moveaxis(q, -1, 0)
@@ -91,6 +82,20 @@ def haar_from_normals(q: np.ndarray) -> np.ndarray:
     """
     q = np.asarray(q, dtype=float)
     return _quat_to_matrix(q / np.linalg.norm(q, axis=-1, keepdims=True))
+
+
+def _noised(xs: np.ndarray, q: np.ndarray, eta: np.ndarray | None, sigma):
+    """Rotate clouds by the Haar rotations of normals ``q``, add ``sigma * eta``, re-center.
+
+    Works on one cloud or a stack; ``sigma`` is a level or anything that
+    broadcasts against ``eta`` (per-item levels as ``(b, 1, 1)``), and
+    ``eta=None`` adds no noise.  Returns the clouds and the rotations.
+    """
+    r_aug = haar_from_normals(q)
+    z = rotate(r_aug, xs)
+    if eta is None:
+        return z, r_aug
+    return center(z + sigma * eta), r_aug
 
 
 def sample_haar(rng: np.random.Generator, size: int | None = None) -> np.ndarray:

@@ -20,7 +20,7 @@ exponentially toward both endpoints; each halving of h adds only the new
 odd nodes, and one pass covers every axis of a whole stack.
 
 The ZYZ Euler product grid (trapezoid in the two azimuths,
-Gauss-Legendre in cos(beta)) gives the partition function and an
+Gauss-Legendre in cos(beta)) gives the log partition function and an
 independent reference for the moment.
 """
 
@@ -67,10 +67,6 @@ class So3Grid:
     weights: np.ndarray    # (M,)
     n: int                 # nodes per axis
 
-    @property
-    def node_count(self) -> int:
-        return self.rotations.shape[0]
-
 
 def _plane_rotation(angles: np.ndarray, i: int, j: int) -> np.ndarray:
     """Rotations by ``angles`` turning axis i toward axis j: (0, 1) is about z, (2, 0) about y."""
@@ -102,12 +98,6 @@ def mf_log_partition(p: MatrixFisher, grid: So3Grid) -> float:
     logp = np.einsum("ij,nij->n", p.f, grid.rotations)
     shift = logp.max()
     return float(shift + np.log(np.sum(grid.weights * np.exp(logp - shift))))
-
-
-def mf_partition(p: MatrixFisher, grid: So3Grid) -> float:
-    """Partition function Z(f); may overflow to inf for extreme concentrations."""
-    with np.errstate(over="ignore"):
-        return float(np.exp(mf_log_partition(p, grid)))
 
 
 def _i0e(z: np.ndarray) -> np.ndarray:

@@ -46,7 +46,11 @@ def _make_trajectory(frames: list[np.ndarray], name: str) -> Trajectory:
 
 
 def load_trajectory(path) -> Trajectory:
-    """Parse a multi-frame XYZ file; frames are centered and the scale computed."""
+    """Parse a multi-frame XYZ file; frames are centered and the scale computed.
+
+    Malformed lines, including ``nan`` or ``inf`` coordinates, raise
+    ``TrajectoryFormatError`` naming the file and line.
+    """
     path = Path(path)
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -83,6 +87,12 @@ def load_trajectory(path) -> Trajectory:
                 raise TrajectoryFormatError(
                     f"{path}:{line_no + 1}: non-numeric coordinate in {lines[line_no]!r}"
                 ) from None
+        finite = np.isfinite(coords).all(axis=1)
+        if not finite.all():
+            line_no = i + 2 + int(np.argmin(finite))
+            raise TrajectoryFormatError(
+                f"{path}:{line_no + 1}: non-finite coordinate in {lines[line_no]!r}"
+            )
         frames.append(coords)
         i += 2 + n
 

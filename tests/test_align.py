@@ -42,8 +42,23 @@ def test_kabsch_beats_sampled_rotations():
 def test_kabsch_errors():
     with pytest.raises(AlignmentError):
         kabsch(np.zeros((3, 3)), np.zeros((4, 3)))
-    with pytest.raises(AlignmentError):
-        kabsch(np.zeros((4, 3)), np.ones((4, 3)))
+    # a zero cross-covariance is a degenerate alignment: every rotation is optimal
+    result = kabsch(np.zeros((4, 3)), np.ones((4, 3)))
+    assert result.degenerate is True
+    np.testing.assert_array_equal(result.rotation, np.eye(3))
+
+
+def test_aligned_rmsd_of_zero_cross_covariance_is_rmsd():
+    rng = np.random.default_rng(10)
+    x = center(rng.standard_normal((6, 3)))
+    # points of y and x never pair up as nonzero vectors, so y.T @ x is zero
+    y = np.zeros((4, 3))
+    y[:2, 0] = [1.0, -1.0]
+    z = np.zeros((4, 3))
+    z[2:, 1] = [2.0, -2.0]
+    assert not (y.T @ z).any()
+    for a, b in ((y, z), (z, y), (np.zeros((6, 3)), x), (x, np.zeros((6, 3)))):
+        assert aligned_rmsd(a, b) == rmsd(a, b)
 
 
 def test_kabsch_degenerate_flag_for_collinear_points():

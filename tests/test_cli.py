@@ -11,7 +11,7 @@ import so3denoise
 import so3denoise.selftest
 from so3denoise.cli import main
 from so3denoise.diffusion import MlpDenoiser, save_denoiser
-from so3denoise.geom import is_rotation, proper_svd
+from so3denoise.geom import proper_svd
 from so3denoise.estimators import read_sweep_csv
 from so3denoise.trajectory import load_trajectory, save_trajectory, synth_trajectory
 
@@ -33,7 +33,8 @@ def test_align_outputs_rotation_and_metrics(capsys, traj_path):
     code, payload = run_json(capsys, ["align", traj_path, "--frame-a", "0", "--frame-b", "1"])
     assert code == 0
     r = np.array(payload["rotation"])
-    assert is_rotation(r, tol=1e-10)
+    np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-10)
+    assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-10)
     assert payload["aligned_rmsd"] <= payload["rmsd"] + 1e-12
     assert payload["degenerate"] is False
 
@@ -110,6 +111,21 @@ def test_train_and_sample_round_trip(capsys, tmp_path, traj_path):
     sampled = load_trajectory(sample_out)
     assert sampled.n_points == 8
     assert sampled.n_frames == 1
+
+
+def test_train_divergence_prints_valid_json(capsys, tmp_path, traj_path):
+    def reject(token):
+        raise ValueError(f"not a JSON number: {token}")
+
+    code = main(
+        ["train", "--input", traj_path, "--sigma", "0.5", "--estimator", "order0",
+         "--steps", "100", "--seed", "3", "--lr", "1e200",
+         "--out-metrics", str(tmp_path / "m.csv"), "--out-model", str(tmp_path / "t.bin")]
+    )
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == 0
+    assert payload["status"] == "diverged"
+    assert payload["final"]["rmsd"] is None and payload["final"]["aligned_rmsd"] is None
 
 
 def test_unknown_flag_exits_2(traj_path):

@@ -408,20 +408,48 @@ def test_train_divergence_mid_block_matches_per_sample_loop(monkeypatch, tmp_pat
     assert _same_checkpoint(tmp_path, cfg, got, want)
 
 
-def test_train_unscorable_batch_diverges_at_its_own_step(monkeypatch, traj):
-    # an all-zero frame has no alignment, so the block's stacked order-0 target pass
-    # raises; the run must still stop at the step that drew it, as step by step
+def _probe_frames(cfg, frames, probe_size=16):
+    """Indices of the frames the probe batch of ``train`` draws (all-frames mode)."""
+    rng = np.random.default_rng(cfg.seed)
+    MlpDenoiser.initialize(frames.shape[1], cfg.hidden, 1.0, rng)
+    idx = []
+    for _ in range(probe_size):
+        idx.append(int(rng.integers(len(frames))))
+        noise_sample(frames[0], cfg.sigma, rng)
+    return idx
+
+
+@pytest.mark.filterwarnings("ignore::so3denoise.estimators.DegenerateAlignmentWarning")
+@pytest.mark.parametrize("kind", ["aug", "order0", "order1", "order2"])
+def test_train_with_zero_frame_matches_per_sample_loop(monkeypatch, tmp_path, traj, kind):
+    # an all-zero frame has a zero cross-covariance with any observation: its order-0
+    # target is a degenerate alignment and its order-1/2 targets are excluded, in the
+    # training batches and in the probe alike
     frames = traj.frames.copy()
     frames[5] = 0.0
-    cfg = TrainConfig(sigma=0.5, estimator="order0", steps=20, batch=8, seed=9)
-    runs = []
-    for steps in (1, 3):
-        _use_blocks_of(monkeypatch, steps, cfg, frames)
-        runs.append(train(cfg, frames, probe_size=4))
-    step_by_step, blocked = runs
-    assert (step_by_step.status, step_by_step.diverged_at) == ("diverged", 8)
-    assert (blocked.status, blocked.diverged_at) == ("diverged", 8)
-    assert repr(blocked.metrics) == repr(step_by_step.metrics)
+    for seed, in_probe in ((0, False), (1, True)):
+        cfg = TrainConfig(sigma=0.5, estimator=kind, steps=20, batch=8, seed=seed)
+        assert (5 in _probe_frames(cfg, frames)) == in_probe
+        want = _reference_train(cfg, frames)
+        assert want.status == "completed"
+        if kind in ("order1", "order2"):
+            assert sum(m.n_excluded for m in want.metrics) > 0
+        for steps in (None, 1, 3):  # the default block holds all 20 steps
+            if steps is not None:
+                _use_blocks_of(monkeypatch, steps, cfg, frames)
+            got = train(cfg, frames)
+            assert (got.status, got.diverged_at) == (want.status, want.diverged_at)
+            assert repr(got.metrics) == repr(want.metrics)
+            assert _same_checkpoint(tmp_path, cfg, got, want)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_train_rejects_non_finite_dataset(traj, value):
+    frames = traj.frames.copy()
+    frames[3, 2, 1] = value
+    with pytest.raises(ValueError, match="finite"):
+        train(TrainConfig(sigma=0.5, estimator="aug", steps=1), frames)
 
 
 def test_train_excludes_singular_targets_like_per_sample_loop(traj):

@@ -5,11 +5,15 @@ from scipy import stats
 from so3denoise.geom import (
     center,
     frobenius_norm_sq,
-    is_rotation,
     proper_svd,
     rotate,
     sample_haar,
 )
+
+
+def is_rotation(m, tol=1e-12):
+    """True if the 3x3 ``m`` is orthogonal with unit determinant within ``tol``."""
+    return np.linalg.norm(m.T @ m - np.eye(3)) <= tol and abs(np.linalg.det(m) - 1.0) <= tol
 
 
 def test_center_already_centered_unchanged():

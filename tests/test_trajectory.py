@@ -34,6 +34,14 @@ def test_malformed_line_reports_line_number(tmp_path):
         load_trajectory(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_non_finite_coordinate_reports_line_number(tmp_path, value):
+    path = tmp_path / "bad.xyz"
+    path.write_text(f"2\nt\nA 1 0 0\nA -1 0 0\n2\nt\nA 1 0 0\nA 0 {value} 0\n")
+    with pytest.raises(TrajectoryFormatError, match="bad.xyz:8: non-finite"):
+        load_trajectory(path)
+
+
 def test_truncated_frame_errors(tmp_path):
     path = tmp_path / "short.xyz"
     path.write_text("3\nt\nA 1 0 0\nA -1 0 0\n")
