@@ -250,9 +250,11 @@ def train(
     deterministic given the config seed.  Non-finite losses or
     parameters, or a batch whose samples are all excluded, stop the run
     with status ``"diverged"``.  A dataset with non-finite coordinates
-    raises ``ValueError``; a frame whose alignment is degenerate (an
-    all-zero frame, say) is trained on like any other, with a
-    ``DegenerateAlignmentWarning`` under ORDER0.
+    raises ``ValueError``, and so does one whose coordinates are large
+    enough (about 1e154 and up) that a cross-covariance ``y.T @ x``
+    overflows, under every estimator but AUG.  A frame whose alignment
+    is degenerate (an all-zero frame, say) is trained on like any other,
+    with a ``DegenerateAlignmentWarning`` under ORDER0.
 
     Steps run in blocks of at most ``_BLOCK_POINTS`` drawn points (at
     least one step): a block's batches are drawn, noised and given their

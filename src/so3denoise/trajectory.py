@@ -87,12 +87,10 @@ def load_trajectory(path) -> Trajectory:
                 raise TrajectoryFormatError(
                     f"{path}:{line_no + 1}: non-numeric coordinate in {lines[line_no]!r}"
                 ) from None
-        finite = np.isfinite(coords).all(axis=1)
-        if not finite.all():
-            line_no = i + 2 + int(np.argmin(finite))
-            raise TrajectoryFormatError(
-                f"{path}:{line_no + 1}: non-finite coordinate in {lines[line_no]!r}"
-            )
+            if not np.isfinite(coords[k]).all():
+                raise TrajectoryFormatError(
+                    f"{path}:{line_no + 1}: non-finite coordinate in {lines[line_no]!r}"
+                )
         frames.append(coords)
         i += 2 + n
 

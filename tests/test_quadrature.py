@@ -67,7 +67,6 @@ def test_partition_uniform_and_jensen():
     g = so3_grid_global(16)
     uniform = MatrixFisher(np.zeros((3, 3)))
     assert mf_log_partition(uniform, g) == pytest.approx(0.0, abs=1e-12)
-    assert np.exp(mf_log_partition(uniform, g)) == pytest.approx(1.0, abs=1e-12)
     z = np.exp(mf_log_partition(MatrixFisher(np.diag([0.1, 0.1, 0.1])), g))
     assert z > 1.0
 

@@ -42,6 +42,13 @@ def test_non_finite_coordinate_reports_line_number(tmp_path, value):
         load_trajectory(path)
 
 
+def test_format_errors_reported_in_file_order(tmp_path):
+    path = tmp_path / "bad.xyz"
+    path.write_text("2\nt\nA nan 0 0\nA x 0 0\n")
+    with pytest.raises(TrajectoryFormatError, match="bad.xyz:3: non-finite"):
+        load_trajectory(path)
+
+
 def test_truncated_frame_errors(tmp_path):
     path = tmp_path / "short.xyz"
     path.write_text("3\nt\nA 1 0 0\nA -1 0 0\n")
