@@ -61,7 +61,7 @@ def mf_from_observation(y: np.ndarray, x: np.ndarray, sigma: float) -> MatrixFis
     x = np.asarray(x, dtype=float)
     if y.shape != x.shape:
         raise ValueError(f"shape mismatch: {y.shape} vs {x.shape}")
-    return MatrixFisher(y.T @ x / sigma**2)
+    return MatrixFisher(y.T @ x / _power(sigma, 2.0))
 
 
 def mf_mode(p: MatrixFisher) -> np.ndarray:
@@ -117,8 +117,12 @@ def _power(d: float | np.ndarray, p: float) -> np.ndarray:
     # Raised one element at a time through libm pow, as ``d ** p`` does on a
     # float or a numpy scalar: numpy's array ``**`` rounds differently (pow
     # and d * d differ in the last bit for about one value in 1200), and
-    # seeded results are pinned to the pow rounding.
-    return np.asarray(_POW(d, p), dtype=float)
+    # seeded results are pinned to the pow rounding.  A finite power too large
+    # for a float raises ValueError rather than pow's OverflowError.
+    try:
+        return np.asarray(_POW(d, p), dtype=float)
+    except OverflowError:
+        raise ValueError(f"{np.max(np.abs(d)):g}**{p:g} overflows a float") from None
 
 
 def _diagonal(d: np.ndarray, singular: np.ndarray, scale: float) -> np.ndarray:
@@ -182,7 +186,8 @@ def mf_mean_laplace(
     ``ExpansionSingularError`` on a singular spectrum.  A stack
     ``(..., 3, 3)`` returns ``LaplaceMean(mean, singular)``: the means of
     singular items are NaN and flagged in the mask.  ``sigma`` may then be
-    an array of per-item levels ``(...)``.
+    an array of per-item levels ``(...)``.  A ``sigma**2`` (or, at order 2,
+    ``sigma**4``) too large for a float raises ``ValueError``.
     """
     a = np.asarray(a, dtype=float)
     _check_sigma(sigma, a.shape[:-2])

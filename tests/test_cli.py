@@ -9,6 +9,7 @@ import pytest
 
 import so3denoise
 import so3denoise.selftest
+from so3denoise import cli
 from so3denoise.cli import main
 from so3denoise.diffusion import MlpDenoiser, save_denoiser
 from so3denoise.geom import proper_svd
@@ -53,6 +54,18 @@ def test_moment_orders_and_oracle_errors(capsys, traj_path):
     assert code == 0
     errs = payload["per_order_max_abs_error"]
     assert errs["order2"] <= errs["order1"] <= errs["order0"]
+
+
+def test_moment_oracle_on_expansion_singular_frame(capsys, tmp_path):
+    # a collinear frame: the oracle moment exists, the order-1/2 expansions do not
+    path = tmp_path / "collinear.xyz"
+    path.write_text("3\ncollinear\nA -1 0 0\nA 0 0 0\nA 1 0 0\n")
+    code, payload = run_json(capsys, ["moment", "--input", str(path), "--sigma", "0.5"])
+    assert code == 0
+    assert np.array(payload["moment"]).shape == (3, 3)
+    errs = payload["per_order_max_abs_error"]
+    assert isinstance(errs["order0"], float)
+    assert errs["order1"] is None and errs["order2"] is None
 
 
 def test_moment_uniform_posterior_limits(capsys, traj_path):
@@ -179,6 +192,58 @@ def test_non_finite_parameters_exit_1(capsys, tmp_path, traj_path, command, valu
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (["--sigma", "1e80", "--order", "2"], "1e+80**4 overflows a float"),
+        (["--sigma", "1e160", "--order", "1"], "1e+160**2 overflows a float"),
+        (["--sigma", "1e160"], "1e+160**2 overflows a float"),
+    ],
+)
+def test_overflowing_sigma_exits_1(capsys, traj_path, values, message):
+    assert main(["moment", "--input", traj_path, *values]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def _main_result(capsys, argv):
+    """Exit code, stdout and stderr of one ``main`` call; usage errors exit via SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_matches_a_fresh_parser_call_by_call(capsys, tmp_path, traj_path):
+    model = tmp_path / "model.bin"
+    save_denoiser(MlpDenoiser.initialize(8, 4, 1.0, np.random.default_rng(0)), model)
+    # at this sigma --tol 1e-12 prints other bytes than the default 1e-6 (1e-3 does not)
+    moment = ["moment", "--input", traj_path, "--sigma", "0.003"]
+    sample = ["sample", "--model", str(model), "--schedule", "1.0,0.5,0.1,0", "--seed", "4", "--out"]
+    calls = [moment + ["--tol", "1e-12"], moment,
+             ["align", traj_path, "--frame-a", "0", "--frame-b", "1", "--bogus"],
+             sample + [str(tmp_path / "a.xyz")], sample + [str(tmp_path / "b.xyz")]]
+
+    def run(fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            results.append(_main_result(capsys, argv))
+        return results, [(tmp_path / name).read_bytes() for name in ("a.xyz", "b.xyz")]
+
+    cli._parser.cache_clear()
+    shared = run(fresh=False)
+    assert cli._parser.cache_info().misses == 1  # one parser served all five calls
+    assert shared == run(fresh=True)
+    (tol, default, usage, sample_a, sample_b), (xyz_a, xyz_b) = shared
+    assert tol[1] != default[1]  # --tol reached the oracle, and the next call got its default
+    assert usage[0] == 2 and "unrecognized arguments: --bogus" in usage[2]
+    assert sample_a[0] == sample_b[0] == 0 and xyz_a == xyz_b
 
 
 def test_selftest_fast_passes(capsys):

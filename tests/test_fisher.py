@@ -172,3 +172,10 @@ def test_mean_laplace_argument_validation():
     for sigma in (np.nan, np.inf):
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             mf_mean_laplace(np.eye(3), sigma, 0)
+    # a finite sigma whose power overflows is named, not pow's OverflowError
+    for sigma, order, power in ((1e80, 2, r"1e\+80\*\*4"), (1e160, 1, r"1e\+160\*\*2"),
+                                (np.array([0.1, 1e160]), 1, r"1e\+160\*\*2")):
+        a = np.eye(3) if np.ndim(sigma) == 0 else np.stack([np.eye(3)] * 2)
+        with pytest.raises(ValueError, match=f"{power} overflows a float"):
+            mf_mean_laplace(a, sigma, order)
+    assert np.all(np.isfinite(mf_mean_laplace(np.eye(3), 1e76, 2)))
