@@ -80,9 +80,10 @@ def _cmd_moment(args) -> int:
         for order in (0, 1, 2):
             try:
                 approx = mf_mean_laplace(a, args.sigma, order)
-                errors[f"order{order}"] = float(np.max(np.abs(approx - moment)))
             except ExpansionSingularError:  # the oracle moment exists; this order does not
                 errors[f"order{order}"] = None
+            else:
+                errors[f"order{order}"] = float(np.max(np.abs(approx - moment)))
         _emit(
             {
                 "sigma": args.sigma,
