@@ -27,7 +27,6 @@ from .diffusion import (
     loss_and_grad,
     mlp_forward,
     noise_sample,
-    read_metrics_csv,
     save_denoiser,
     train,
     write_metrics_csv,
@@ -40,7 +39,6 @@ from .estimators import (
     averaging_offset_check,
     error_sweep,
     estimator_target,
-    read_sweep_csv,
     sweep_aug_anomalies,
     write_sweep_csv,
 )
@@ -50,7 +48,6 @@ from .fisher import (
     MatrixFisher,
     c1,
     c2,
-    expansion_singular,
     mf_from_observation,
     mf_mean_laplace,
     mf_mode,

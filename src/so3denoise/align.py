@@ -26,6 +26,11 @@ class KabschResult(NamedTuple):
     degenerate: bool | np.ndarray
 
 
+def _degenerate(s: np.ndarray) -> np.ndarray:
+    """Flags ``(...)`` for spectra ``(..., 3)`` of ``y.T @ x`` of rank below 2."""
+    return s[..., 1] <= DEGENERACY_RTOL * s[..., 0]
+
+
 def _kabsch(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotations ``(..., 3, 3)`` and degenerate flags ``(...)`` for stacks of pairs."""
     y = np.asarray(y, dtype=float)
@@ -33,8 +38,7 @@ def _kabsch(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if y.shape != x.shape:
         raise AlignmentError(f"shape mismatch: {y.shape} vs {x.shape}")
     u, s, v = proper_svd(transpose(y) @ x)
-    degenerate = s[..., 1] <= DEGENERACY_RTOL * s[..., 0]
-    return u @ transpose(v), degenerate
+    return u @ transpose(v), _degenerate(s)
 
 
 def kabsch(y: np.ndarray, x: np.ndarray) -> KabschResult:

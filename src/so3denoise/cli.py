@@ -32,7 +32,7 @@ from .estimators import (
     sweep_aug_anomalies,
     write_sweep_csv,
 )
-from .fisher import ExpansionSingularError, mf_from_observation, mf_mean_laplace
+from .fisher import mf_from_observation, mf_mean_laplace
 from .geom import rotate
 from .quadrature import mf_mean_quadrature
 from .trajectory import Trajectory, load_trajectory, save_trajectory
@@ -78,12 +78,13 @@ def _cmd_moment(args) -> int:
         moment = mf_mean_quadrature(mf_from_observation(x, x, args.sigma), args.tol)
         errors = {}
         for order in (0, 1, 2):
+            # sigma and tol passed the oracle call, so a ValueError (a singular
+            # spectrum, an overflowing power) means only that this order has no value
             try:
-                approx = mf_mean_laplace(a, args.sigma, order)
-            except ExpansionSingularError:  # the oracle moment exists; this order does not
-                errors[f"order{order}"] = None
-            else:
-                errors[f"order{order}"] = float(np.max(np.abs(approx - moment)))
+                error = float(np.max(np.abs(mf_mean_laplace(a, args.sigma, order) - moment)))
+            except ValueError:
+                error = float("nan")
+            errors[f"order{order}"] = _json_number(error)
         _emit(
             {
                 "sigma": args.sigma,
@@ -94,6 +95,8 @@ def _cmd_moment(args) -> int:
         )
     else:
         moment = mf_mean_laplace(a, args.sigma, int(args.order))
+        if not np.all(np.isfinite(moment)):
+            raise ValueError(f"the order-{args.order} moment at sigma={args.sigma:g} is not finite")
         _emit({"sigma": args.sigma, "order": int(args.order), "moment": moment.tolist()})
     return 0
 

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .align import aligned_rmsd, rmsd
-from .estimators import EstimatorKind, _read_csv, _write_csv, estimator_target
+from .estimators import EstimatorKind, _write_csv, estimator_target
 from .geom import _noised, center, rotate
 
 _PARAM_FIELDS = ("w1", "b1", "w2", "b2")
@@ -379,11 +379,6 @@ METRICS_CSV_HEADER = ["step", "loss", "rmsd", "aligned_rmsd", "n_excluded"]
 
 def write_metrics_csv(metrics: list[StepMetrics], path) -> None:
     _write_csv(path, METRICS_CSV_HEADER, metrics)
-
-
-def read_metrics_csv(path) -> list[StepMetrics]:
-    types = (int, float, float, float, int)
-    return [StepMetrics(*row) for row in _read_csv(path, METRICS_CSV_HEADER, types, "metrics")]
 
 
 def save_denoiser(model: MlpDenoiser, path, seed: int | None = None,

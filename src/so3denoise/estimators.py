@@ -9,11 +9,13 @@ a noisy rotated observation ``y`` of a clean cloud ``x``:
 * ``ORDER2``  -- plus the sigma^4 correction,
 * ``ORACLE``  -- the quadrature posterior mean (ground truth).
 
-``estimator_target`` takes one pair or a stack of pairs, and on a stack
-``sigma`` may vary per item.  ``error_sweep`` measures the mean squared
-error of each estimator against the oracle across noise levels,
-reproducibly from a seed, with one stacked target call per estimator
-kind over all the draws of all the noise levels.
+ORDER0-2 truncate one series, the small-noise expansion of the posterior
+mean, and come from one proper SVD of ``y.T @ x``.  ``estimator_target``
+takes one pair or a stack of pairs, and on a stack ``sigma`` may vary
+per item.  ``error_sweep`` measures the mean squared error of each
+estimator against the oracle across noise levels, reproducibly from a
+seed, over one stack of every draw: one factorization serves ORDER0-2
+and one the oracle.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .align import _kabsch
-from .fisher import _check_sigma, _power, mf_from_observation, mf_mean_laplace
-from .geom import _noised, frobenius_norm_sq, rotate, transpose
+from .align import AlignmentError, _degenerate
+from .fisher import _check_sigma, _expansion, _power, mf_from_observation
+from .geom import _noised, frobenius_norm_sq, proper_svd, rotate, transpose
 from .quadrature import mf_mean_quadrature, oracle_conditional_denoiser
 
 SWEEP_CSV_HEADER = ["sigma", "kind", "mean_mse", "stderr", "n_samples", "n_excluded", "seed"]
@@ -57,6 +59,9 @@ class SweepRecord:
     seed: int
 
 
+_ORDERS = {EstimatorKind.ORDER0: 0, EstimatorKind.ORDER1: 1, EstimatorKind.ORDER2: 2}
+
+
 class BatchTargets(NamedTuple):
     """Batched ``estimator_target``: targets ``(..., N, 3)`` and which items to keep."""
 
@@ -78,7 +83,8 @@ def estimator_target(
     augmentation rotation is not a function of (y, x, sigma) alone.
     Order-1/2 targets raise :class:`ExpansionSingularError` on
     near-degenerate spectra; a degenerate alignment is flagged with
-    :class:`DegenerateAlignmentWarning`.
+    :class:`DegenerateAlignmentWarning`.  For ORDER0-2, clouds of
+    different shapes raise :class:`AlignmentError`.
 
     Stacks of pairs ``(..., N, 3)`` (with ``r_aug`` of shape
     ``(..., 3, 3)``) return ``BatchTargets(targets, keep)``, and ``sigma``
@@ -103,27 +109,29 @@ def estimator_target(
             return oracle_conditional_denoiser(y, x, sigma, tol)
         mean, keep = mf_mean_quadrature(transpose(y) @ x / _power(sigma, 2.0)[..., None, None], tol)
         targets = x @ transpose(mean)
-    elif kind is EstimatorKind.ORDER0:
-        rotation, degenerate = _kabsch(y, x)
-        if degenerate.any():
-            warnings.warn("alignment is degenerate; target not unique", DegenerateAlignmentWarning)
-        targets = rotate(rotation, x)
     else:
-        order = 1 if kind is EstimatorKind.ORDER1 else 2
-        mean = mf_mean_laplace(transpose(y) @ x, sigma, order)
-        if batched:
-            mean, singular = mean
-            keep = ~singular
-        targets = x @ transpose(mean)
+        [(targets, keep)] = _expansion_targets(y, x, sigma, (_ORDERS[kind],))
     return BatchTargets(targets, keep) if batched else targets
 
 
-_SWEEP_KINDS = (
-    EstimatorKind.AUG,
-    EstimatorKind.ORDER0,
-    EstimatorKind.ORDER1,
-    EstimatorKind.ORDER2,
-)
+def _expansion_targets(
+    y: np.ndarray, x: np.ndarray, sigma: float | np.ndarray, orders: tuple[int, ...]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Targets ``x @ mean.T`` and keep masks of each of ``orders``, from one
+    proper SVD of ``y.T @ x``; with order 0, degenerate alignments warn once."""
+    if y.shape != x.shape:
+        raise AlignmentError(f"shape mismatch: {y.shape} vs {x.shape}")
+    svd = proper_svd(transpose(y) @ x)
+    if 0 in orders and _degenerate(svd.s).any():
+        warnings.warn("alignment is degenerate; target not unique", DegenerateAlignmentWarning)
+    targets = []
+    for order in orders:
+        mean, singular = _expansion(svd, sigma, order)
+        targets.append((x @ transpose(mean), ~singular))
+    return targets
+
+
+_SWEEP_KINDS = (EstimatorKind.AUG, *_ORDERS)
 
 
 def error_sweep(
@@ -143,9 +151,10 @@ def error_sweep(
     mean and counted in ``n_excluded``, never silently substituted.
     Deterministic given ``seed``: each draw has its own stream from
     (seed, sigma index, sample index).  The draws are then stacked across
-    every noise level, each item with its own sigma, so each estimator
-    kind and the oracle take one stacked target call per sweep; degenerate
-    alignments warn once per sweep.
+    every noise level, each item with its own sigma.  The oracle takes one
+    proper SVD of the stack, and ORDER0, ORDER1 and ORDER2 share another:
+    two factorizations per sweep.  Degenerate alignments warn once per
+    sweep.
     """
     x = np.asarray(x, dtype=float)
     if n_noise < 1:
@@ -169,11 +178,11 @@ def error_sweep(
     xs = np.broadcast_to(x, ys.shape)
 
     oracle, converged = estimator_target(EstimatorKind.ORACLE, ys, xs, sigma, tol=tol)
+    scored = [estimator_target(EstimatorKind.AUG, ys, xs, sigma, r_aug=r_aug)]
+    scored += _expansion_targets(ys, xs, sigma, tuple(_ORDERS.values()))
     mse = np.empty((len(_SWEEP_KINDS), len(sigma)))
     keep = np.empty(mse.shape, dtype=bool)
-    for k, kind in enumerate(_SWEEP_KINDS):
-        aug = r_aug if kind is EstimatorKind.AUG else None
-        targets, kept = estimator_target(kind, ys, xs, sigma, r_aug=aug, tol=tol)
+    for k, (targets, kept) in enumerate(scored):
         diff = targets - oracle
         mse[k] = np.sum(diff * diff, axis=(-2, -1))
         keep[k] = kept & converged
@@ -217,26 +226,11 @@ def _write_csv(path, header: list[str], rows) -> None:
         writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
-def _read_csv(path, header: list[str], types: tuple, what: str) -> list[list]:
-    """Rows of a CSV with exactly ``header``, each field parsed by its entry in ``types``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        got = next(reader)
-        if got != header:
-            raise ValueError(f"unexpected {what} CSV header: {got}")
-        return [[parse(v) for parse, v in zip(types, row)] for row in reader]
-
-
 def write_sweep_csv(records: list[SweepRecord], path) -> None:
     _write_csv(path, SWEEP_CSV_HEADER, (
         (r.sigma, r.kind.value, r.mean_mse, r.stderr, r.n_samples, r.n_excluded, r.seed)
         for r in records
     ))
-
-
-def read_sweep_csv(path) -> list[SweepRecord]:
-    types = (float, EstimatorKind, float, float, int, int, int)
-    return [SweepRecord(*row) for row in _read_csv(path, SWEEP_CSV_HEADER, types, "sweep")]
 
 
 def averaging_offset_check(

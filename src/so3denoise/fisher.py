@@ -7,7 +7,8 @@ the rotation posterior is matrix Fisher with concentration
 
 The closed-form approximation of the first moment E[R] is a series in
 ``sigma**2`` around the mode, with diagonal correction coefficients
-``c1`` and ``c2`` in the SVD basis of the concentration matrix.  The
+``c1`` and ``c2`` in the SVD basis of the concentration matrix; its
+order-0 term, the mode, is the Kabsch alignment.  The
 quadrature module provides the independent numerical reference these
 formulas are validated against.
 """
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import proper_svd, transpose
+from .geom import ProperSvd, proper_svd, transpose
 
 
 class ExpansionSingularError(ValueError):
@@ -86,15 +87,6 @@ def _pairwise_sums(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, (d <= 1e-9 * s[..., :1]).any(axis=-1)
 
 
-def expansion_singular(s: np.ndarray) -> np.ndarray:
-    """Per-spectrum mask: some pairwise sum is too small for the expansion.
-
-    ``s`` is one spectrum ``(3,)`` or a stack ``(..., 3)``; the mask has
-    the leading shape.
-    """
-    return _pairwise_sums(s)[1]
-
-
 def _safe_sums(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise sums, set to ones for singular spectra, and the singular mask.
 
@@ -150,7 +142,7 @@ def c1(s: np.ndarray) -> np.ndarray:
     Entry i is -1/2 * (1/(s_i + s_j) + 1/(s_i + s_k)) with j, k the other
     two indices.  Requires all pairwise sums positive: a single spectrum
     raises ``ExpansionSingularError``, and in a stack ``(..., 3)`` the
-    rows of singular spectra (see ``expansion_singular``) are NaN.
+    rows of singular spectra (a pairwise sum at most 1e-9 s1) are NaN.
     """
     return _c1(*_safe_sums(s))
 
@@ -170,6 +162,25 @@ class LaplaceMean(NamedTuple):
     singular: np.ndarray
 
 
+def _expansion(svd: ProperSvd, sigma, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The series ``u @ diag(d) @ v.T`` truncated at ``order``, from the proper
+    SVD of ``y.T @ x``, and the mask of spectra singular for it.
+
+    At order 0, ``d`` is all ones and the mean is the alignment rotation
+    ``u @ v.T``, bit for bit.  Above order 0, a single singular spectrum
+    raises ``ExpansionSingularError``.
+    """
+    u, s, v = svd
+    d = np.ones(s.shape)
+    singular = np.zeros(s.shape[:-1], dtype=bool)
+    if order >= 1:
+        sums, singular = _safe_sums(s)
+        d = d + _power(sigma, 2.0)[..., None] * _c1(sums, singular)
+    if order >= 2:
+        d = d + _power(sigma, 4.0)[..., None] * _c2(sums, singular)
+    return (u * d[..., None, :]) @ transpose(v), singular
+
+
 def mf_mean_laplace(
     a: np.ndarray, sigma: float | np.ndarray, order: int
 ) -> np.ndarray | LaplaceMean:
@@ -178,9 +189,10 @@ def mf_mean_laplace(
     ``a`` is the unscaled cross-covariance ``y.T @ x``; the concentration
     1/sigma**2 is applied internally so the series reads
     ``u @ diag(1 + sigma^2 c1 + sigma^4 c2) @ v.T`` truncated at
-    ``order`` (0, 1 or 2).  Order 0 is exactly the alignment rotation.
-    Higher orders are generally not rotation matrices: they approximate
-    a mean, which lies inside the convex hull of SO(3).
+    ``order`` (0, 1 or 2).  Order 0 is the alignment: ``u @ v.T`` is the
+    Kabsch rotation, bit for bit.  Higher orders are generally not
+    rotation matrices: they approximate a mean, which lies inside the
+    convex hull of SO(3).
 
     A single ``(3, 3)`` input returns the mean and raises
     ``ExpansionSingularError`` on a singular spectrum.  A stack
@@ -193,13 +205,5 @@ def mf_mean_laplace(
     _check_sigma(sigma, a.shape[:-2])
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    u, s, v = proper_svd(a)
-    d = np.ones(s.shape)
-    singular = np.zeros(s.shape[:-1], dtype=bool)
-    if order >= 1:
-        sums, singular = _safe_sums(s)
-        d = d + _power(sigma, 2.0)[..., None] * _c1(sums, singular)
-    if order >= 2:
-        d = d + _power(sigma, 4.0)[..., None] * _c2(sums, singular)
-    mean = (u * d[..., None, :]) @ transpose(v)
-    return mean if s.ndim == 1 else LaplaceMean(mean, singular)
+    mean, singular = _expansion(proper_svd(a), sigma, order)
+    return mean if a.ndim == 2 else LaplaceMean(mean, singular)

@@ -16,14 +16,7 @@ from hypothesis import strategies as st
 from so3denoise.align import kabsch
 from so3denoise.diffusion import MlpDenoiser, mlp_forward
 from so3denoise.estimators import DegenerateAlignmentWarning, EstimatorKind, estimator_target
-from so3denoise.fisher import (
-    ExpansionSingularError,
-    _power,
-    c1,
-    c2,
-    expansion_singular,
-    mf_mean_laplace,
-)
+from so3denoise.fisher import ExpansionSingularError, _pairwise_sums, _power, c1, c2, mf_mean_laplace
 from so3denoise.geom import center, proper_svd, rotate, sample_haar
 from so3denoise.quadrature import NoConvergenceError, mf_mean_quadrature
 
@@ -120,7 +113,8 @@ def test_mf_mean_laplace_stack_equals_per_item(mats, sigma, order):
     sigma, item_sigmas = _sigma_per_item(sigma, len(mats))
     mean, singular = mf_mean_laplace(a, sigma, order)
     spectra = proper_svd(a).s
-    assert np.array_equal(singular, expansion_singular(spectra) if order else np.zeros(len(a), bool))
+    expected = _pairwise_sums(spectra)[1] if order else np.zeros(len(a), bool)
+    assert np.array_equal(singular, expected)
     for i, (m, s) in enumerate(zip(mats, item_sigmas)):
         if singular[i]:
             with pytest.raises(ExpansionSingularError):
@@ -131,7 +125,7 @@ def test_mf_mean_laplace_stack_equals_per_item(mats, sigma, order):
     for coeff in (c1, c2):
         rows = coeff(spectra)
         for i, s in enumerate(spectra):
-            if expansion_singular(s):
+            if _pairwise_sums(s)[1]:
                 assert np.all(np.isnan(rows[i]))
             else:
                 assert np.array_equal(coeff(s), rows[i])
@@ -167,6 +161,9 @@ def _pin_pair(seed):
 
 
 PINNED_PAIRS = [_pin_pair(0), _pin_pair(1)]
+# a collinear clean cloud (rank-1 cross-covariance) and a zero one: both degenerate alignments
+COLLINEAR_PAIR = (PINNED_PAIRS[0][0], center(np.outer(np.arange(7.0), [1.0, 2.0, -0.5])))
+ZERO_PAIR = (PINNED_PAIRS[1][0], np.zeros((7, 3)))
 
 
 def test_per_item_sigma_must_match_the_stack():
@@ -225,6 +222,7 @@ def pairs_and_sigma(draw):
 
 
 @example((PINNED_PAIRS, PINNED_SIGMAS), EstimatorKind.ORACLE, 0)
+@example(([PINNED_PAIRS[0], COLLINEAR_PAIR, ZERO_PAIR], 0.3), EstimatorKind.ORDER0, 0)
 @example((PINNED_PAIRS, PINNED_SIGMAS), EstimatorKind.ORDER2, 0)
 @settings(max_examples=40, deadline=None)
 @given(pairs_and_sigma(), st.sampled_from(list(EstimatorKind)), st.integers(0, 2**32 - 1))
@@ -247,6 +245,8 @@ def test_estimator_target_stack_equals_per_item(pairs_sigma, kind, seed):
             assert np.all(np.isnan(targets[i]))
         else:
             assert np.array_equal(want, targets[i])
+        if kind is EstimatorKind.ORDER0:  # the order-0 target is the Kabsch alignment
+            assert np.array_equal(rotate(kabsch(y, x).rotation, x), targets[i])
     assert len(batch_warnings) == int(any_degenerate)
 
 

@@ -13,8 +13,7 @@ from so3denoise import cli
 from so3denoise.cli import main
 from so3denoise.diffusion import MlpDenoiser, save_denoiser
 from so3denoise.geom import proper_svd
-from so3denoise.estimators import read_sweep_csv
-from so3denoise.trajectory import load_trajectory, save_trajectory, synth_trajectory
+from so3denoise.trajectory import Trajectory, load_trajectory, save_trajectory, synth_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +97,7 @@ def test_sweep_byte_identical_and_parseable(capsys, tmp_path, traj_path):
     code, _ = run_json(capsys, argv + ["--out", str(out_b)])
     assert code == 0
     assert out_a.read_bytes() == out_b.read_bytes()
-    assert len(read_sweep_csv(out_a)) == 8
+    assert len(out_a.read_text().splitlines()) == 1 + 8
 
 
 def test_train_and_sample_round_trip(capsys, tmp_path, traj_path):
@@ -206,6 +205,34 @@ def test_overflowing_sigma_exits_1(capsys, traj_path, values, message):
     assert main(["moment", "--input", traj_path, *values]) == 1
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "scale, sigma, failing",
+    [
+        (1.0, "1e80", {"order2": "1e+80**4 overflows a float"}),
+        (1e-3, "1e152", {"order1": "the order-1 moment at sigma=1e+152 is not finite",
+                         "order2": "1e+152**4 overflows a float"}),
+    ],
+)
+def test_moment_prints_valid_json_at_any_accepted_sigma(capsys, tmp_path, traj_path, scale, sigma,
+                                                        failing):
+    # under --order oracle an order whose power overflows or whose moment is not
+    # finite reports null; asked for alone, that order exits 1 with a named error
+    def reject(token):
+        raise ValueError(f"not a JSON number: {token}")
+
+    path = tmp_path / "frame.xyz"
+    save_trajectory(Trajectory(scale * load_trajectory(traj_path).frames[:1], "frame", scale), path)
+    code = main(["moment", "--input", str(path), "--sigma", sigma])
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == 0 and np.all(np.isfinite(payload["moment"]))
+    errors = payload["per_order_max_abs_error"]
+    assert {order for order, e in errors.items() if e is None} == set(failing)
+    for order, message in failing.items():
+        assert main(["moment", "--input", str(path), "--sigma", sigma, "--order", order[-1]]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
 
 def _main_result(capsys, argv):

@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from so3denoise import align, estimators, fisher, geom, quadrature
 from so3denoise.estimators import (
+    SWEEP_CSV_HEADER,
     DegenerateAlignmentWarning,
     EstimatorKind,
     averaging_offset_check,
     error_sweep,
     estimator_target,
-    read_sweep_csv,
     sweep_aug_anomalies,
     write_sweep_csv,
 )
@@ -111,7 +113,14 @@ def test_sweep_deterministic_and_csv_round_trip(tmp_path, cloud):
     write_sweep_csv(records, path_a)
     write_sweep_csv(again, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
-    assert read_sweep_csv(path_a) == records
+    with open(path_a, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == SWEEP_CSV_HEADER
+    assert rows[1:] == [
+        [repr(r.sigma), r.kind.value, repr(r.mean_mse), repr(r.stderr),
+         repr(r.n_samples), repr(r.n_excluded), repr(r.seed)]
+        for r in records
+    ]
 
 
 def _per_draw_sweep(x, sigmas, n_noise, seed, tol):
@@ -178,6 +187,21 @@ def test_sweep_collinear_cloud_matches_per_draw_scalar_calls():
         excluded = r.kind in (EstimatorKind.ORDER1, EstimatorKind.ORDER2)
         assert r.n_excluded == (n_noise if excluded else 0)
         assert np.isnan(r.mean_mse) == excluded
+
+
+def test_sweep_factors_each_stack_once(monkeypatch, cloud):
+    # one proper SVD of the stacked y.T @ x serves orders 0, 1 and 2, and one of
+    # it over sigma**2 the oracle, however many levels and draws the sweep has
+    calls = []
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return proper_svd(a)
+
+    for module in (geom, align, fisher, estimators, quadrature):
+        monkeypatch.setattr(module, "proper_svd", counted)
+    error_sweep(cloud, [0.05, 0.1, 0.3], n_noise=4, seed=2)
+    assert calls == [(12, 3, 3)] * 2
 
 
 def test_sweep_hierarchy_holds_on_every_draw():
