@@ -9,11 +9,11 @@ that produces non-finite losses or parameters terminates with a
 
 Training runs in blocks of steps.  A step's draws and targets depend only
 on the seeded stream, not on the model, and the probe metrics never feed
-the update, so each block draws all its batches (item by item, in the
-stream's order), noises them and computes their targets in one stacked
-pass, and scores the probe predictions of all its steps in one stacked
-pass when it ends.  Each step keeps only its forward/backward pass and
-its Adam update.
+the update, so each block draws all its batches (three generator calls
+per step), noises them and computes their targets in one stacked pass,
+and scores the probe predictions of all its steps in one stacked pass
+when it ends.  Each step keeps only its forward/backward pass and one
+Adam update of the flat parameter vector the four parameters view.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def _batch_loss_and_grad(
     loss = float(np.sum(diff * diff) / b)
 
     g_out = 2.0 * diff / b
-    g_out = g_out - g_out.mean(axis=1, keepdims=True)  # through re-centering
+    g_out = g_out - np.add.reduce(g_out, axis=1, keepdims=True) / g_out.shape[1]  # through re-centering
     g_flat = g_out.reshape(b, -1)
     g_hidden = g_flat @ m.w2
     g_pre = g_hidden * (1.0 - hidden * hidden)
@@ -256,12 +256,18 @@ def train(
     is degenerate (an all-zero frame, say) is trained on like any other,
     with a ``DegenerateAlignmentWarning`` under ORDER0.
 
-    Steps run in blocks of at most ``_BLOCK_POINTS`` drawn points (at
-    least one step): a block's batches are drawn, noised and given their
+    Each batch (the probe first, then one per step) is drawn with three
+    generator calls: ``integers(frames, size=batch)`` in all-frames mode
+    only, ``standard_normal((batch, 4))`` for the Haar rotations and
+    ``standard_normal((batch, N, 3))`` for the noise.  Steps run in blocks
+    of at most ``_BLOCK_POINTS`` drawn points (at least one step): a
+    block's batches are drawn step by step, noised and given their
     targets in one stacked pass, and its probe predictions are scored in
     one stacked pass when it ends or diverges.  Results are bit for bit
     those of drawing, scoring and probing step by step; on divergence the
-    rest of the block's draws are made but not used.
+    rest of the block's draws are made but not used.  The four parameters
+    are views into one flat vector, in checkpoint order, which one Adam
+    update per step changes in place.
     """
     frames = np.asarray(dataset, dtype=float)
     if frames.ndim != 3 or frames.shape[0] < 1 or frames.shape[2] != 3:
@@ -274,22 +280,21 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     model = MlpDenoiser.initialize(n_points, cfg.hidden, s_ref, rng)
 
-    def draw_batch(size: int):
-        """(ys, xs, r_aug) stacks; the generator is called item by item, in
-        the order ``noise_sample`` calls it, so the stream matches a loop of it."""
-        idx = np.zeros(size, dtype=int)
-        q = np.empty((size, 4))
-        eta = np.empty((size, n_points, 3))
-        for i in range(size):
+    def draw_batch(n_batches: int, size: int):
+        """(ys, xs, r_aug) stacks of ``n_batches`` batches, each drawn with three generator calls."""
+        idx = np.zeros((n_batches, size), dtype=int)
+        q = np.empty((n_batches, size, 4))
+        eta = np.empty((n_batches, size, n_points, 3))
+        for k in range(n_batches):
             if cfg.dataset_mode == "all-frames":
-                idx[i] = rng.integers(len(frames))
-            rng.standard_normal(out=q[i])
-            rng.standard_normal(out=eta[i])
-        xs = frames[idx]
-        ys, r_aug = _noised(xs, q, eta, cfg.sigma)
+                idx[k] = rng.integers(len(frames), size=size)
+            rng.standard_normal(out=q[k])
+            rng.standard_normal(out=eta[k])
+        xs = frames[idx.ravel()]
+        ys, r_aug = _noised(xs, q.reshape(-1, 4), eta.reshape(xs.shape), cfg.sigma)
         return ys, xs, r_aug
 
-    probe_ys, probe_xs, probe_r = draw_batch(probe_size)
+    probe_ys, probe_xs, probe_r = draw_batch(1, probe_size)
     probe_truth = rotate(probe_r, probe_xs)
     probe_targets, probe_keep = _targets(probe_ys, probe_xs, probe_r, cfg.sigma, cfg.estimator, tol)
 
@@ -301,10 +306,10 @@ def train(
     def flush() -> None:
         """Score the pending probe predictions in one stacked pass and append their rows."""
         stack = preds[: len(pending)]
-        r = rmsd(stack, np.broadcast_to(probe_truth, stack.shape))
-        a = aligned_rmsd(stack, np.broadcast_to(probe_xs, stack.shape))
-        for j, (step, loss, n_excluded) in enumerate(pending):
-            metrics.append(StepMetrics(step, loss, float(np.mean(r[j])), float(np.mean(a[j])), n_excluded))
+        r = np.add.reduce(rmsd(stack, np.broadcast_to(probe_truth, stack.shape)), axis=1) / probe_size
+        a = np.add.reduce(aligned_rmsd(stack, np.broadcast_to(probe_xs, stack.shape)), axis=1) / probe_size
+        for (step, loss, n_excluded), r_j, a_j in zip(pending, r.tolist(), a.tolist()):
+            metrics.append(StepMetrics(step, loss, r_j, a_j, n_excluded))
         pending.clear()
 
     def probe(step: int, loss: float, n_excluded: int) -> None:
@@ -323,15 +328,21 @@ def train(
     probe(0, probe_loss, 0)
     flush()
 
+    # the parameters become views into one flat vector, in checkpoint order
+    theta = np.concatenate([getattr(model, name).ravel() for name in _PARAM_FIELDS])
+    start = 0
+    for name in _PARAM_FIELDS:
+        p = getattr(model, name)
+        setattr(model, name, theta[start : start + p.size].reshape(p.shape))
+        start += p.size
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    moment1 = {k: np.zeros_like(v) for k, v in model.params().items()}
-    moment2 = {k: np.zeros_like(v) for k, v in model.params().items()}
+    moment1, moment2 = np.zeros_like(theta), np.zeros_like(theta)
 
     # overflow inside a step is the divergence signal, surfaced via the status
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, cfg.steps + 1, block_steps):
             n_steps = min(block_steps, cfg.steps + 1 - first)
-            ys, xs, r_aug = draw_batch(n_steps * cfg.batch)
+            ys, xs, r_aug = draw_batch(n_steps, cfg.batch)
             targets, keep = _targets(ys, xs, r_aug, cfg.sigma, cfg.estimator, tol)
             for step in range(first, first + n_steps):
                 rows = slice((step - first) * cfg.batch, (step - first + 1) * cfg.batch)
@@ -343,13 +354,13 @@ def train(
                     return diverged(step)
                 if not np.isfinite(loss):
                     return diverged(step)
-                for name, g in grads.items():
-                    moment1[name] = beta1 * moment1[name] + (1 - beta1) * g
-                    moment2[name] = beta2 * moment2[name] + (1 - beta2) * g * g
-                    m_hat = moment1[name] / (1 - beta1**step)
-                    v_hat = moment2[name] / (1 - beta2**step)
-                    setattr(model, name, getattr(model, name) - cfg.lr * m_hat / (np.sqrt(v_hat) + eps))
-                if not all(np.all(np.isfinite(p)) for p in model.params().values()):
+                g = np.concatenate([grads[name].ravel() for name in _PARAM_FIELDS])
+                moment1 = beta1 * moment1 + (1 - beta1) * g
+                moment2 = beta2 * moment2 + (1 - beta2) * g * g
+                m_hat = moment1 / (1 - beta1**step)
+                v_hat = moment2 / (1 - beta2**step)
+                theta -= cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
+                if not np.isfinite(theta).all():
                     return diverged(step)
                 probe(step, loss, n_excluded)
             flush()

@@ -40,7 +40,8 @@ def transpose(m: np.ndarray) -> np.ndarray:
 def center(pc: np.ndarray) -> np.ndarray:
     """Subtract the centroid so each coordinate column sums to zero."""
     pc = np.asarray(pc, dtype=float)
-    return pc - pc.mean(axis=-2, keepdims=True)
+    # the sum and division of ``pc.mean``, without its Python wrapper
+    return pc - np.add.reduce(pc, axis=-2, keepdims=True) / pc.shape[-2]
 
 
 def rotate(r: np.ndarray, pc: np.ndarray) -> np.ndarray:

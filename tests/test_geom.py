@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from so3denoise.geom import (
@@ -34,6 +37,18 @@ def test_center_idempotent_and_zero_column_sums():
         bound = 1e-12 * pc.shape[0] * np.max(np.abs(pc))
         assert np.max(np.abs(c.sum(axis=0))) <= bound
         np.testing.assert_allclose(center(c), c, atol=1e-13 * np.max(np.abs(pc)))
+
+
+# (N, 3), (b, N, 3) and (a, b, N, 3)
+CLOUD_SHAPES = st.tuples(st.lists(st.integers(1, 4), max_size=2), st.integers(1, 64)).map(
+    lambda lead_n: (*lead_n[0], lead_n[1], 3)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, CLOUD_SHAPES, elements=st.floats(-1e150, 1e150)))
+def test_center_is_bit_for_bit_the_mean_subtraction(pc):
+    assert center(pc).tobytes() == (pc - pc.mean(axis=-2, keepdims=True)).tobytes()
 
 
 def test_rotate_identity_and_associativity():
