@@ -19,9 +19,9 @@ from .align import aligned_rmsd, kabsch, rmsd
 from .diffusion import (
     DdimSchedule,
     TrainConfig,
+    _walk_denoiser,
     ddim_sample,
     load_denoiser,
-    mlp_forward,
     save_denoiser,
     train,
     write_metrics_csv,
@@ -39,8 +39,7 @@ from .trajectory import Trajectory, load_trajectory, save_trajectory
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _json_number(v: float) -> float | None:
@@ -79,9 +78,11 @@ def _cmd_moment(args) -> int:
         errors = {}
         for order in (0, 1, 2):
             # sigma and tol passed the oracle call, so a ValueError (a singular
-            # spectrum, an overflowing power) means only that this order has no value
+            # spectrum, an overflowing power) means only that this order has no value;
+            # so does an overflow inside the series, which reports null
             try:
-                error = float(np.max(np.abs(mf_mean_laplace(a, args.sigma, order) - moment)))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    error = float(np.max(np.abs(mf_mean_laplace(a, args.sigma, order) - moment)))
             except ValueError:
                 error = float("nan")
             errors[f"order{order}"] = _json_number(error)
@@ -94,7 +95,8 @@ def _cmd_moment(args) -> int:
             }
         )
     else:
-        moment = mf_mean_laplace(a, args.sigma, int(args.order))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+            moment = mf_mean_laplace(a, args.sigma, int(args.order))
         if not np.all(np.isfinite(moment)):
             raise ValueError(f"the order-{args.order} moment at sigma={args.sigma:g} is not finite")
         _emit({"sigma": args.sigma, "order": int(args.order), "moment": moment.tolist()})
@@ -156,7 +158,11 @@ def _cmd_sample(args) -> int:
     sigmas = tuple(float(s) for s in args.schedule.split(",") if s.strip())
     schedule = DdimSchedule(sigmas)
     rng = np.random.default_rng(args.seed)
-    cloud = ddim_sample(lambda y, s: mlp_forward(model, y, s), schedule, model.n_points, rng)
+    # a diverged checkpoint overflows in the walk; the finiteness check below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        cloud = ddim_sample(_walk_denoiser(model), schedule, model.n_points, rng)
+    if not np.isfinite(cloud).all():
+        raise ValueError(f"sampling from {args.model} gave non-finite coordinates (a diverged model?)")
     traj = Trajectory(cloud[None], "sampled", float(np.sqrt(np.mean(np.sum(cloud**2, axis=1)))))
     save_trajectory(traj, args.out)
     _emit({"out": args.out, "n_points": model.n_points, "schedule": list(sigmas)})

@@ -14,11 +14,17 @@ per step), noises them and computes their targets in one stacked pass,
 and scores the probe predictions of all its steps in one stacked pass
 when it ends.  Each step keeps only its forward/backward pass and one
 Adam update of the flat parameter vector the four parameters view.
+
+Every forward pass (training, ``mlp_forward`` and the sampling walk) runs
+through one MLP body, ``_mlp``.  The walk's denoiser checks the model
+once and refills one feature row per step, so a DDIM step is the MLP
+arithmetic and little else; it is bit for bit ``mlp_forward``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
@@ -152,11 +158,33 @@ def _features(m: MlpDenoiser, ys: np.ndarray, sigma: float) -> np.ndarray:
     return feats
 
 
-def _forward(m: MlpDenoiser, ys: np.ndarray, sigma: float):
-    feats = _features(m, ys, sigma)
+def _mlp(m: MlpDenoiser, feats: np.ndarray, shape: tuple[int, ...]):
+    """The MLP on feature rows: the re-centered prediction of shape ``shape``
+    and the hidden activations.  Every forward pass runs through here."""
     hidden = np.tanh(feats @ m.w1.T + m.b1)
-    flat = hidden @ m.w2.T + m.b2
-    return center(flat.reshape(ys.shape)), (feats, hidden)
+    return center((hidden @ m.w2.T + m.b2).reshape(shape)), hidden
+
+
+def _param_shapes(n_points: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    """Shapes of the four parameters, in checkpoint order."""
+    return {"w1": (hidden, 3 * n_points + 2), "b1": (hidden,),
+            "w2": (3 * n_points, hidden), "b2": (3 * n_points,)}
+
+
+def _param_views(flat: np.ndarray, n_points: int, hidden: int) -> dict[str, np.ndarray]:
+    """The four parameters as reshaped views of one flat vector, in checkpoint order."""
+    params, start = {}, 0
+    for name, shape in _param_shapes(n_points, hidden).items():
+        size = math.prod(shape)
+        params[name] = flat[start : start + size].reshape(shape)
+        start += size
+    return params
+
+
+def _check_model(m: MlpDenoiser) -> None:
+    for name, shape in _param_shapes(m.n_points, m.hidden).items():
+        if getattr(m, name).shape != shape:
+            raise ValueError(f"parameter {name} has shape {getattr(m, name).shape}, expected {shape}")
 
 
 def mlp_forward(m: MlpDenoiser, y: np.ndarray, sigma: float) -> np.ndarray:
@@ -169,8 +197,32 @@ def mlp_forward(m: MlpDenoiser, y: np.ndarray, sigma: float) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.ndim not in (2, 3) or y.shape[-2:] != (m.n_points, 3):
         raise ValueError(f"expected shape {(m.n_points, 3)} or a stack of it, got {y.shape}")
-    out, _ = _forward(m, y[..., None, :, :], sigma)
+    ys = y[..., None, :, :]
+    out, _ = _mlp(m, _features(m, ys, sigma), ys.shape)
     return out[..., 0, :, :]
+
+
+def _walk_denoiser(m: MlpDenoiser) -> Callable[[np.ndarray, float], np.ndarray]:
+    """``mlp_forward`` on one cloud, for a ``ddim_sample`` walk.
+
+    The model is checked once, here, and every step refills one feature
+    row in place.  The matmul shapes are those of ``mlp_forward`` on an
+    ``(n, 3)`` cloud, so each step is bit for bit its prediction.  The walk
+    passes only ``(n, 3)`` clouds, which are not checked again.
+    """
+    _check_model(m)
+    d_out = 3 * m.n_points
+    row = np.empty((1, d_out + 2))
+    coords = row[:, :d_out]
+    row[0, -1] = 1.0
+    shape = (1, m.n_points, 3)
+
+    def denoise(y: np.ndarray, sigma: float) -> np.ndarray:
+        np.divide(y.reshape(1, d_out), m.s_ref, out=coords)
+        row[0, -2] = np.log(sigma)
+        return _mlp(m, row, shape)[0][0]
+
+    return denoise
 
 
 class LossAndGrad(NamedTuple):
@@ -198,7 +250,8 @@ def _batch_loss_and_grad(
     b = ys.shape[0]
 
     # one (b, 3n + 2) feature matrix: the training forward is a single GEMM
-    out, (feats, hidden) = _forward(m, ys, sigma)
+    feats = _features(m, ys, sigma)
+    out, hidden = _mlp(m, feats, ys.shape)
     diff = out - targets
     loss = float(np.sum(diff * diff) / b)
 
@@ -330,11 +383,8 @@ def train(
 
     # the parameters become views into one flat vector, in checkpoint order
     theta = np.concatenate([getattr(model, name).ravel() for name in _PARAM_FIELDS])
-    start = 0
-    for name in _PARAM_FIELDS:
-        p = getattr(model, name)
-        setattr(model, name, theta[start : start + p.size].reshape(p.shape))
-        start += p.size
+    for name, p in _param_views(theta, n_points, cfg.hidden).items():
+        setattr(model, name, p)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     moment1, moment2 = np.zeros_like(theta), np.zeros_like(theta)
 
@@ -377,6 +427,10 @@ def ddim_sample(
 
     Each update moves the current sample toward the denoiser prediction
     by the relative noise decrement: y <- y + (1 - s_lo/s_hi) (D(y, s_hi) - y).
+    ``denoiser`` is any callable on an ``(n_points, 3)`` cloud and a noise
+    level.  For a trained model, ``_walk_denoiser(model)`` is the cheap
+    one: ``mlp_forward`` bit for bit, with the model checked once per walk
+    instead of the cloud once per step.
     """
     sig = schedule.sigmas
     y = center(sig[0] * rng.standard_normal((n_points, 3)))
@@ -422,14 +476,12 @@ def _config_dict(config: TrainConfig | None):
 def load_denoiser(path) -> tuple[MlpDenoiser, dict]:
     """Read a checkpoint back; returns the model and its JSON header."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        n, h = header["n_points"], header["hidden"]
-        shapes = {"w1": (h, 3 * n + 2), "b1": (h,), "w2": (3 * n, h), "b2": (3 * n,)}
-        params = {}
-        for name in _PARAM_FIELDS:
-            count = int(np.prod(shapes[name]))
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ValueError(f"truncated checkpoint: {path}")
-            params[name] = np.frombuffer(buf, dtype="<f8").reshape(shapes[name]).copy()
+        line, _, block = fh.read().partition(b"\n")
+    header = json.loads(line.decode("utf-8"))
+    n, h = header["n_points"], header["hidden"]
+    count = sum(math.prod(shape) for shape in _param_shapes(n, h).values())
+    if len(block) < 8 * count:
+        raise ValueError(f"truncated checkpoint: {path}")
+    # one copy of the block, which the four parameters view
+    params = _param_views(np.frombuffer(block, dtype="<f8", count=count).copy(), n, h)
     return MlpDenoiser(hidden=h, n_points=n, s_ref=float(header["s_ref"]), **params), header

@@ -140,6 +140,33 @@ def test_train_divergence_prints_valid_json(capsys, tmp_path, traj_path):
     assert payload["final"]["rmsd"] is None and payload["final"]["aligned_rmsd"] is None
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sample_from_a_diverged_checkpoint_exits_1(capsys, tmp_path, traj_path):
+    # training diverges at step 2 and saves parameters near 1e200, whose walk overflows
+    model, out = tmp_path / "t.bin", tmp_path / "s.xyz"
+    code, payload = run_json(
+        capsys,
+        ["train", "--input", traj_path, "--sigma", "0.5", "--estimator", "order0",
+         "--steps", "100", "--seed", "3", "--lr", "1e200",
+         "--out-metrics", str(tmp_path / "m.csv"), "--out-model", str(model)],
+    )
+    assert code == 0 and payload["status"] == "diverged"
+    assert main(["sample", "--model", str(model), "--schedule", "1,0.5,0", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: sampling from {model} gave non-finite coordinates (a diverged model?)\n"
+
+
+def test_sample_from_a_truncated_checkpoint_exits_1(capsys, tmp_path):
+    model, out = tmp_path / "model.bin", tmp_path / "s.xyz"
+    save_denoiser(MlpDenoiser.initialize(8, 4, 1.0, np.random.default_rng(0)), model)
+    model.write_bytes(model.read_bytes()[:-8])
+    assert main(["sample", "--model", str(model), "--schedule", "1,0", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: truncated checkpoint: {model}\n"
+
+
 def test_unknown_flag_exits_2(traj_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["align", traj_path, "--frame-a", "0", "--frame-b", "1", "--bogus"])
@@ -207,6 +234,7 @@ def test_overflowing_sigma_exits_1(capsys, traj_path, values, message):
     assert message in captured.err and captured.out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "scale, sigma, failing",
     [
@@ -218,7 +246,8 @@ def test_overflowing_sigma_exits_1(capsys, traj_path, values, message):
 def test_moment_prints_valid_json_at_any_accepted_sigma(capsys, tmp_path, traj_path, scale, sigma,
                                                         failing):
     # under --order oracle an order whose power overflows or whose moment is not
-    # finite reports null; asked for alone, that order exits 1 with a named error
+    # finite reports null; asked for alone, that order exits 1 with a named error.
+    # Either way numpy warns of nothing: a RuntimeWarning fails the test
     def reject(token):
         raise ValueError(f"not a JSON number: {token}")
 
@@ -320,12 +349,13 @@ assert "scipy" not in sys.modules, "scipy was imported"
 """
 
 
-def _run_python(*args: str) -> subprocess.CompletedProcess:
+def _run_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports so3denoise from this checkout."""
     src = str(Path(so3denoise.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          cwd=cwd)
 
 
 def test_cli_oracle_and_sweep_do_not_import_scipy(tmp_path):
@@ -352,3 +382,13 @@ def test_selftest_fails_a_failing_check_under_python_O():
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.splitlines() == ["FAIL expansion-coefficients: c1 spot values",
                                         "0/1 checks passed"]
+
+
+_DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", _DEMOS, ids=[d.stem for d in _DEMOS])
+def test_demo_runs(tmp_path, demo):
+    # in a scratch directory: demo 03 writes its sweep CSV to the working directory
+    proc = _run_python(str(demo), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from so3denoise import diffusion
@@ -275,6 +277,31 @@ def test_checkpoint_round_trip(tmp_path, traj):
     assert loaded.s_ref == model.s_ref
 
 
+def test_loaded_parameters_are_writable_and_own_their_data(tmp_path, traj):
+    model = MlpDenoiser.initialize(8, 16, traj.scale, np.random.default_rng(14))
+    path = tmp_path / "model.bin"
+    save_denoiser(model, path)
+    loaded, _ = load_denoiser(path)
+    again, _ = load_denoiser(path)
+    path.write_bytes(b"")  # the loaded parameters do not read the file again
+    for name in ("w1", "b1", "w2", "b2"):
+        p = getattr(loaded, name)
+        assert p.flags.writeable and p.dtype == np.float64
+        assert not np.shares_memory(p, getattr(again, name))
+        p += 1.0  # changes this parameter only
+    for name in ("w1", "b1", "w2", "b2"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name) + 1.0)
+        np.testing.assert_array_equal(getattr(again, name), getattr(model, name))
+
+
+def test_truncated_checkpoint_raises_naming_the_file(tmp_path, traj):
+    path = tmp_path / "model.bin"
+    save_denoiser(MlpDenoiser.initialize(8, 4, traj.scale, np.random.default_rng(15)), path)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(ValueError, match=f"truncated checkpoint: {path}"):
+        load_denoiser(path)
+
+
 def test_metrics_csv_round_trip(tmp_path, traj):
     cfg = TrainConfig(sigma=0.5, estimator=EstimatorKind.ORDER0, steps=5, seed=5)
     result = train(cfg, traj.frames)
@@ -476,3 +503,45 @@ def test_bench_shaped_train_halves_probe_aligned_rmsd(seed):
     result = train(cfg, frames)
     assert result.status == "completed"
     assert result.metrics[-1].aligned_rmsd < 0.5 * result.metrics[0].aligned_rmsd
+
+
+def _reference_walk(denoiser, schedule, n_points, rng):
+    """The DDIM walk of ``ddim_sample``, written out step by step."""
+    sig = schedule.sigmas
+    y = center(sig[0] * rng.standard_normal((n_points, 3)))
+    for s_hi, s_lo in zip(sig, sig[1:]):
+        y = y + (1.0 - s_lo / s_hi) * (denoiser(y, s_hi) - y)
+    return y
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_points=st.integers(4, 16),
+    hidden=st.integers(1, 64),
+    trained_steps=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=59, unique=True),
+)
+def test_sample_walk_is_bit_for_bit_the_mlp_forward_walk(n_points, hidden, trained_steps, seed,
+                                                         levels):
+    rng = np.random.default_rng(seed)
+    data = synth_trajectory(n_points, 3, 0.1, seed=seed % 1000)
+    if trained_steps:
+        cfg = TrainConfig(sigma=0.5, estimator=EstimatorKind.ORDER0, steps=trained_steps, batch=4,
+                          lr=0.05, seed=seed % 1000, hidden=hidden)
+        m = train(cfg, data.frames, probe_size=2).model
+    else:
+        m = MlpDenoiser.initialize(n_points, hidden, data.scale, rng)
+        m.b1, m.b2 = rng.standard_normal(hidden), rng.standard_normal(3 * n_points)
+    schedule = DdimSchedule((*sorted(levels, reverse=True), 0.0))
+    walked = ddim_sample(diffusion._walk_denoiser(m), schedule, n_points, np.random.default_rng(seed))
+    reference = _reference_walk(lambda y, s: mlp_forward(m, y, s), schedule, n_points,
+                                np.random.default_rng(seed))
+    assert np.array_equal(walked, reference)
+
+
+def test_walk_denoiser_rejects_a_malformed_model(traj):
+    m = MlpDenoiser.initialize(8, 4, traj.scale, np.random.default_rng(16))
+    m.w2 = m.w2[:, :3]
+    with pytest.raises(ValueError, match="parameter w2 has shape"):
+        diffusion._walk_denoiser(m)
