@@ -305,9 +305,11 @@ def train(
     with status ``"diverged"``.  A dataset with non-finite coordinates
     raises ``ValueError``, and so does one whose coordinates are large
     enough (about 1e154 and up) that a cross-covariance ``y.T @ x``
-    overflows, under every estimator but AUG.  A frame whose alignment
-    is degenerate (an all-zero frame, say) is trained on like any other,
-    with a ``DegenerateAlignmentWarning`` under ORDER0.
+    overflows, under every estimator but AUG.  So does a frame 0 of zero
+    RMS norm (all zero, say), whose norm is the input scale ``s_ref``.
+    Any later frame whose alignment is degenerate (an all-zero frame, say)
+    is trained on like any other, with a ``DegenerateAlignmentWarning``
+    under ORDER0.
 
     Each batch (the probe first, then one per step) is drawn with three
     generator calls: ``integers(frames, size=batch)`` in all-frames mode
@@ -329,6 +331,8 @@ def train(
         raise ValueError("dataset coordinates must be finite")
     n_points = frames.shape[1]
     s_ref = float(np.sqrt(np.mean(np.sum(frames[0] ** 2, axis=1))))
+    if not s_ref > 0:
+        raise ValueError("frame 0 has zero RMS norm; the denoiser's input scale is taken from it")
 
     rng = np.random.default_rng(cfg.seed)
     model = MlpDenoiser.initialize(n_points, cfg.hidden, s_ref, rng)
@@ -474,10 +478,19 @@ def _config_dict(config: TrainConfig | None):
 
 
 def load_denoiser(path) -> tuple[MlpDenoiser, dict]:
-    """Read a checkpoint back; returns the model and its JSON header."""
+    """Read a checkpoint back; returns the model and its JSON header.
+
+    A missing or invalid ``n_points``, ``hidden`` or ``s_ref`` raises ``ValueError``.
+    """
     with open(path, "rb") as fh:
         line, _, block = fh.read().partition(b"\n")
     header = json.loads(line.decode("utf-8"))
+    for key, types in (("n_points", (int,)), ("hidden", (int,)), ("s_ref", (int, float))):
+        if not isinstance(header, dict) or key not in header:
+            raise ValueError(f"checkpoint {path}: header has no {key!r}")
+        if type(header[key]) not in types or not 0 < header[key] < math.inf:
+            what = "a positive int" if types == (int,) else "positive and finite"
+            raise ValueError(f"checkpoint {path}: header {key!r} must be {what}, got {header[key]!r}")
     n, h = header["n_points"], header["hidden"]
     count = sum(math.prod(shape) for shape in _param_shapes(n, h).values())
     if len(block) < 8 * count:

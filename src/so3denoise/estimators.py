@@ -20,7 +20,6 @@ and one the oracle.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -189,15 +188,25 @@ def error_sweep(
     shape = (len(_SWEEP_KINDS), len(sig), n_noise)  # (kind, sigma, draw)
     mse, keep = mse.reshape(shape), keep.reshape(shape)
 
-    records = []
-    for si, s in enumerate(sig):
-        for k, kind in enumerate(_SWEEP_KINDS):
-            vals = mse[k, si][keep[k, si]]
-            n_ok = len(vals)
-            mean = float(np.mean(vals)) if n_ok else float("nan")
-            stderr = float(np.std(vals, ddof=1) / np.sqrt(n_ok)) if n_ok > 1 else 0.0
-            records.append(SweepRecord(s, kind, mean, stderr, n_ok, n_noise - n_ok, seed))
-    return records
+    n_ok = np.count_nonzero(keep, axis=-1)
+    mean, stderr = _mean_stderr(mse)
+    for k, si in np.argwhere(n_ok < n_noise):  # only records with excluded draws
+        vals = mse[k, si][keep[k, si]]
+        mean[k, si], stderr[k, si] = _mean_stderr(vals) if len(vals) else (np.nan, 0.0)
+    return [
+        SweepRecord(s, kind, m, e, n, n_noise - n, seed)
+        for s, m_row, e_row, n_row in zip(sig, mean.T.tolist(), stderr.T.tolist(), n_ok.T.tolist())
+        for kind, m, e, n in zip(_SWEEP_KINDS, m_row, e_row, n_row)
+    ]
+
+
+def _mean_stderr(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error along the last axis, each row reduced as ``np.mean``
+    and ``np.std(ddof=1)`` reduce it alone; one value has stderr 0."""
+    n = vals.shape[-1]
+    mean = np.mean(vals, axis=-1)
+    stderr = np.std(vals, axis=-1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(mean)
+    return mean, stderr
 
 
 def sweep_aug_anomalies(records: list[SweepRecord]) -> list[float]:
@@ -219,11 +228,12 @@ def sweep_aug_anomalies(records: list[SweepRecord]) -> list[float]:
 
 
 def _write_csv(path, header: list[str], rows) -> None:
-    """Write ``header`` and ``rows`` with LF line ends and floats as ``repr``."""
+    """Write ``header`` and ``rows`` at once, LF line ends, floats as ``repr``, fields
+    unquoted: no header name or value holds a comma, a quote or a line end."""
+    lines = [",".join(header)]
+    lines += [",".join([repr(v) if isinstance(v, float) else str(v) for v in row]) for row in rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_sweep_csv(records: list[SweepRecord], path) -> None:

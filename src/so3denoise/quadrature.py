@@ -17,7 +17,10 @@ The exponent is shifted to zero at ``u = 1`` (no overflow up to ~1e6).
 The integrals use nested tanh-sinh quadrature (Takahasi & Mori 1974),
 ``u = tanh((pi/2) sinh t)`` at ``t = k h``, whose nodes crowd doubly
 exponentially toward both endpoints; each halving of h adds only the new
-odd nodes, and one pass covers every axis of a whole stack.
+odd nodes, and one pass covers every axis of a whole stack.  The first
+pass evaluates the nodes of levels 0 and 1 (h and h/2) together, and
+sums each level on its own, so the first convergence check costs one
+Bessel pass.
 
 The ZYZ Euler product grid (trapezoid in the two azimuths,
 Gauss-Legendre in cos(beta)) gives the log partition function and an
@@ -102,39 +105,46 @@ def mf_log_partition(p: MatrixFisher, grid: So3Grid) -> float:
 
 def _i0e(z: np.ndarray) -> np.ndarray:
     """Exponentially scaled modified Bessel function I0(z) e^-z for z >= 0."""
-    out = np.empty_like(z)
-    small = z <= _I0E_SWITCH
-    zs, zl = z[small], z[~small]
-    out[small] = np.i0(zs) * np.exp(-zs)
-    out[~small] = np.polynomial.polynomial.polyval(1.0 / zl, _HANKEL_I0) / np.sqrt(2.0 * np.pi * zl)
+    out = np.i0(np.minimum(z, _I0E_SWITCH)) * np.exp(-z)
+    large = z > _I0E_SWITCH
+    if large.any():
+        zl = z[large]
+        out[large] = np.polynomial.polynomial.polyval(1.0 / zl, _HANKEL_I0) / np.sqrt(2.0 * np.pi * zl)
     return out
 
 
 @lru_cache(maxsize=None)
-def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """1 - u, 1 + u and weight / h of the nodes new at ``level`` (all k at 0, odd k later)."""
-    h = _START_STEP / 2**level
-    k = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1)
-    t = h * (k if level == 0 else k[k % 2 == 1])
-    e = np.pi * np.sinh(t)
-    # each of 1 - u and 1 + u stays exact near its endpoint; h cancels in the mean
-    one_minus_u, one_plus_u = 2.0 / (1.0 + np.exp(e)), 2.0 / (1.0 + np.exp(-e))
-    weights = (np.pi / 2) * np.cosh(t) * one_minus_u * one_plus_u
-    for a in (one_minus_u, one_plus_u, weights):
+def _level_nodes(levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[slice, ...]]:
+    """1 - u, 1 + u and weight / h of the nodes new at each of ``levels`` (all k at
+    level 0, odd k later), concatenated, and the slice of each level."""
+    parts, slices, start = [], [], 0
+    for level in levels:
+        h = _START_STEP / 2**level
+        k = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1)
+        t = h * (k if level == 0 else k[k % 2 == 1])
+        e = np.pi * np.sinh(t)
+        # each of 1 - u and 1 + u stays exact near its endpoint; h cancels in the mean
+        one_minus_u, one_plus_u = 2.0 / (1.0 + np.exp(e)), 2.0 / (1.0 + np.exp(-e))
+        parts.append((one_minus_u, one_plus_u, (np.pi / 2) * np.cosh(t) * one_minus_u * one_plus_u))
+        slices.append(slice(start, start + len(t)))
+        start += len(t)
+    nodes = [np.concatenate(a) for a in zip(*parts)]
+    for a in nodes:
         a.setflags(write=False)  # cached: shared by every caller
-    return one_minus_u, one_plus_u, weights
+    return *nodes, tuple(slices)
 
 
-def _level_sums(s: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of (1 - u) g_k and of g_k over the nodes new at ``level``, each (B, 3)."""
-    one_minus_u, one_plus_u, w = _level_nodes(level)
+def _level_sums(s: np.ndarray, levels: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per level of ``levels``, in one Bessel pass, sums of (1 - u) g_k and of g_k over its new nodes, each (B, 3)."""
+    one_minus_u, one_plus_u, w, slices = _level_nodes(levels)
     i, j = _OTHER_AXES.T
     si, sj, sk = s[:, i, None], s[:, j, None], s[..., None]
     # exponent a(1-u) + b(1+u) + s_k u = s_i + (s_j + s_k) u, shifted to 0 at u = 1
     bessel_a, bessel_b = _i0e(np.stack([0.5 * (si - sj) * one_minus_u,
                                         0.5 * (si + sj) * one_plus_u]))
     g = w * bessel_a * bessel_b * np.exp(-(sj + sk) * one_minus_u)
-    return np.sum(g * one_minus_u, axis=-1), np.sum(g, axis=-1)
+    moment = g * one_minus_u
+    return [(np.sum(moment[..., part], axis=-1), np.sum(g[..., part], axis=-1)) for part in slices]
 
 
 class OracleMean(NamedTuple):
@@ -159,13 +169,15 @@ def mf_mean_quadrature(p: MatrixFisher | np.ndarray, tol: float = 1e-8) -> np.nd
     f = p.f if isinstance(p, MatrixFisher) else np.asarray(p, dtype=float)
     u, s, v = proper_svd(f)
     u, s, vt = u.reshape(-1, 3, 3), s.reshape(-1, 3), transpose(v).reshape(-1, 3, 3)
-    num, den = sums = np.array(_level_sums(s, 0))  # num and den are views into sums
+    first, second = _level_sums(s, (0, 1))
+    num, den = sums = np.array(first)  # num and den are views into sums
     d = prev = 1.0 - num / den
     pending = np.ones(len(s), dtype=bool)
     for level in range(1, _MAX_HALVINGS + 1):
         if not pending.any():
             break
-        sums[:, pending] += _level_sums(s[pending], level)
+        # every item is pending at level 1, whose sums came with level 0's
+        sums[:, pending] += second if level == 1 else _level_sums(s[pending], (level,))[0]
         prev, d = d, d.copy()
         d[pending] = 1.0 - num[pending] / den[pending]
         pending &= np.max(np.abs(d - prev), axis=1) >= tol

@@ -9,6 +9,7 @@ bookkeeping and as the denoiser input scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,25 +74,25 @@ def load_trajectory(path) -> Trajectory:
             raise TrajectoryFormatError(
                 f"{path}:{i + 1}: frame declares {n} points but the file ends early"
             )
-        coords = np.empty((n, 3))
-        for k in range(n):
-            line_no = i + 2 + k
+        coords = []  # the frame's rows, checked in file order and made one array
+        for line_no in range(i + 2, i + 2 + n):
             parts = lines[line_no].split()
             if len(parts) < 4:
                 raise TrajectoryFormatError(
                     f"{path}:{line_no + 1}: expected 'LABEL x y z', got {lines[line_no]!r}"
                 )
             try:
-                coords[k] = [float(v) for v in parts[1:4]]
+                row = [float(v) for v in parts[1:4]]
             except ValueError:
                 raise TrajectoryFormatError(
                     f"{path}:{line_no + 1}: non-numeric coordinate in {lines[line_no]!r}"
                 ) from None
-            if not np.isfinite(coords[k]).all():
+            if not all(map(math.isfinite, row)):
                 raise TrajectoryFormatError(
                     f"{path}:{line_no + 1}: non-finite coordinate in {lines[line_no]!r}"
                 )
-        frames.append(coords)
+            coords.append(row)
+        frames.append(np.array(coords))
         i += 2 + n
 
     if not frames:

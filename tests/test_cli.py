@@ -167,6 +167,44 @@ def test_sample_from_a_truncated_checkpoint_exits_1(capsys, tmp_path):
     assert captured.err == f"error: truncated checkpoint: {model}\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda h: h | {"n_points": 0, "hidden": 0}, "header 'n_points' must be a positive int, got 0"),
+        (lambda h: h | {"hidden": -1}, "header 'hidden' must be a positive int, got -1"),
+        (lambda h: {k: v for k, v in h.items() if k != "n_points"}, "header has no 'n_points'"),
+        (lambda h: h | {"s_ref": float("nan")}, "header 's_ref' must be positive and finite, got nan"),
+        (lambda h: [h], "header has no 'n_points'"),
+    ],
+    ids=["zero-sizes", "negative-hidden", "missing-n-points", "nan-s-ref", "not-an-object"],
+)
+def test_sample_from_an_invalid_checkpoint_header_exits_1(capsys, tmp_path, edit, message):
+    model, out = tmp_path / "model.bin", tmp_path / "s.xyz"
+    save_denoiser(MlpDenoiser.initialize(8, 4, 1.0, np.random.default_rng(0)), model)
+    line, _, block = model.read_bytes().partition(b"\n")
+    model.write_bytes(json.dumps(edit(json.loads(line))).encode() + b"\n" + block)
+    assert main(["sample", "--model", str(model), "--schedule", "1,0", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: checkpoint {model}: {message}\n"
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-170])
+def test_train_on_a_frame_0_of_zero_rms_norm_exits_1(capsys, tmp_path, scale):
+    # frame 0's RMS norm is the denoiser's input scale; at 1e-170 its squares underflow
+    traj = synth_trajectory(8, 4, 0.1, seed=3)
+    traj.frames[0] *= scale
+    data, metrics, model = tmp_path / "t.xyz", tmp_path / "m.csv", tmp_path / "m.bin"
+    save_trajectory(traj, data)
+    code = main(["train", "--input", str(data), "--sigma", "0.5", "--estimator", "order0",
+                 "--steps", "5", "--out-metrics", str(metrics), "--out-model", str(model)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: frame 0 has zero RMS norm; the denoiser's input scale is taken from it\n"
+    assert not metrics.exists() and not model.exists()
+
+
 def test_unknown_flag_exits_2(traj_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["align", traj_path, "--frame-a", "0", "--frame-b", "1", "--bogus"])

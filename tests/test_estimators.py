@@ -123,9 +123,10 @@ def test_sweep_deterministic_and_csv_round_trip(tmp_path, cloud):
     ]
 
 
-def _per_draw_sweep(x, sigmas, n_noise, seed, tol):
+def _per_draw_sweep(x, sigmas, n_noise, seed, tol, dropped=()):
     """The sweep rebuilt draw by draw from one scalar target call per kind:
-    (sigma, kind, mean_mse, stderr, n_samples, n_excluded) per record."""
+    (sigma, kind, mean_mse, stderr, n_samples, n_excluded) per record.
+    The (sigma index, draw) pairs in ``dropped`` count as oracle failures."""
     rows = []
     for si, sigma in enumerate(sigmas):
         vals = {kind: [] for kind in SWEEP_KINDS}
@@ -136,6 +137,8 @@ def _per_draw_sweep(x, sigmas, n_noise, seed, tol):
             try:
                 oracle = estimator_target(EstimatorKind.ORACLE, y, x, sigma, tol=tol)
             except NoConvergenceError:
+                continue
+            if (si, j) in dropped:
                 continue
             for kind in SWEEP_KINDS:
                 r = r_aug if kind is EstimatorKind.AUG else None
@@ -163,6 +166,7 @@ ASCENDING_LADDERS = st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=6, uniqu
 
 
 @example(sigmas=[0.01, 0.1, 0.3, 1.0], n_noise=3, seed=5)
+@example(sigmas=[0.05, 0.5], n_noise=11, seed=9)  # past numpy's 8-way pairwise unroll
 @settings(max_examples=25, deadline=None)
 @given(sigmas=ASCENDING_LADDERS, n_noise=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_sweep_matches_per_draw_scalar_calls(cloud, sigmas, n_noise, seed):
@@ -171,6 +175,24 @@ def test_sweep_matches_per_draw_scalar_calls(cloud, sigmas, n_noise, seed):
     tol = 1e-6
     records = error_sweep(cloud, sigmas, n_noise=n_noise, seed=seed, tol=tol)
     assert repr(_record_rows(records)) == repr(_per_draw_sweep(cloud, sigmas, n_noise, seed, tol))
+
+
+def test_sweep_records_mixing_kept_and_excluded_draws(monkeypatch, cloud):
+    # records with 9 of 10 draws kept, with 1 kept (stderr 0) and with none (NaN mean)
+    sigmas, n_noise, seed, tol = [0.05, 0.2, 0.5], 10, 4, 1e-6
+    dropped = {(0, 3), *((1, j) for j in range(9)), *((2, j) for j in range(10))}
+
+    def flagged(f, tol):
+        mean, converged = quadrature.mf_mean_quadrature(f, tol)
+        for si, j in dropped:
+            converged[si * n_noise + j] = False
+        mean[~converged] = np.nan
+        return quadrature.OracleMean(mean, converged)
+
+    monkeypatch.setattr(estimators, "mf_mean_quadrature", flagged)
+    records = error_sweep(cloud, sigmas, n_noise=n_noise, seed=seed, tol=tol)
+    assert [r.n_samples for r in records] == [9] * 4 + [1] * 4 + [0] * 4
+    assert repr(_record_rows(records)) == repr(_per_draw_sweep(cloud, sigmas, n_noise, seed, tol, dropped))
 
 
 def test_sweep_collinear_cloud_matches_per_draw_scalar_calls():

@@ -6,7 +6,7 @@ from scipy.special import i0, i1
 
 import so3denoise.quadrature as quad
 from so3denoise.fisher import MatrixFisher, mf_mean_laplace
-from so3denoise.geom import center, frobenius_norm_sq, proper_svd, rotate, sample_haar
+from so3denoise.geom import center, frobenius_norm_sq, proper_svd, rotate, sample_haar, transpose
 from so3denoise.quadrature import (
     NoConvergenceError,
     mf_log_partition,
@@ -141,6 +141,65 @@ def test_mean_quadrature_hard_spectra_converge_in_two_halvings(monkeypatch, spec
     monkeypatch.setattr(quad, "_MAX_HALVINGS", 2)
     m = mf_mean_quadrature(MatrixFisher(np.diag(spectrum)), tol=1e-12)
     assert np.all(np.isfinite(m))
+
+
+def _level_by_level(f, tol):
+    """mf_mean_quadrature's refinement with each level's nodes in a Bessel pass of
+    its own: the means of a stack and the last level each item was refined at."""
+    u, s, v = proper_svd(f)
+    num, den = sums = np.array(quad._level_sums(s, (0,))[0])
+    d = prev = 1.0 - num / den
+    pending = np.ones(len(s), dtype=bool)
+    last = np.zeros(len(s), dtype=int)
+    for level in range(1, quad._MAX_HALVINGS + 1):
+        if not pending.any():
+            break
+        sums[:, pending] += quad._level_sums(s[pending], (level,))[0]
+        prev, d = d, d.copy()
+        d[pending] = 1.0 - num[pending] / den[pending]
+        last[pending] = level
+        pending &= np.max(np.abs(d - prev), axis=1) >= tol
+    return (u * d[:, None, :]) @ transpose(v), ~pending, last
+
+
+@pytest.mark.parametrize("tol, n_stop_levels", [(1e-6, 1), (1e-16, 5)])
+def test_fused_first_pass_matches_level_by_level_bit_for_bit(tol, n_stop_levels):
+    # levels 0 and 1 share one Bessel pass but are summed apart, so every check and
+    # every later halving sees the same numbers; at the sweep's tol 1e-6 every item
+    # stops at level 1, at tol 1e-16 they stop at levels 1 to 4 and two never converge
+    rng = np.random.default_rng(17)
+    spectra = [(1e6, 5.0, 1.0), (1000.0, 1000.0, -999.99), (1e6, 1e6, -1e6 + 1e-2), (1e5, 1e5, 1e5),
+               (5.0, 1.0, -0.9), (0.0, 0.0, 0.0)]
+    f = np.concatenate([
+        [np.diag(spectrum) for spectrum in spectra],
+        rng.standard_normal((12, 3, 3)) * np.geomspace(1e-2, 1e4, 12)[:, None, None],
+    ])
+    s = proper_svd(f).s
+    for fused, alone in zip(quad._level_sums(s, (0, 1)), [quad._level_sums(s, (k,))[0] for k in (0, 1)]):
+        assert np.array(fused).tobytes() == np.array(alone).tobytes()
+    mean, converged = mf_mean_quadrature(f, tol)
+    ref_mean, ref_converged, last = _level_by_level(f, tol)
+    assert converged.tolist() == ref_converged.tolist()
+    assert mean[converged].tobytes() == ref_mean[converged].tobytes()
+    assert len(set(last.tolist())) >= n_stop_levels
+    assert mf_mean_quadrature(MatrixFisher(f[0]), tol).tobytes() == ref_mean[0].tobytes()
+
+
+def test_i0e_matches_both_forms_bit_for_bit():
+    # np.i0(z) e^-z up to the switch at z = 700, the Hankel expansion past it
+    z = np.concatenate([
+        np.linspace(0.0, 1e6, 100001), np.geomspace(1e-12, 1e6, 20001),
+        [8.0, 700.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), np.nextafter(700.0, 0.0),
+         np.nextafter(700.0, 701.0)],
+    ])
+    np.random.default_rng(3).shuffle(z)
+    out = quad._i0e(z)
+    small = z <= quad._I0E_SWITCH
+    zs, zl = z[small], z[~small]
+    assert out[small].tobytes() == (np.i0(zs) * np.exp(-zs)).tobytes()
+    hankel = np.polynomial.polynomial.polyval(1.0 / zl, quad._HANKEL_I0) / np.sqrt(2.0 * np.pi * zl)
+    assert out[~small].tobytes() == hankel.tobytes()
+    assert quad._i0e(np.array([8.0, 700.0])).tobytes() == (np.i0([8.0, 700.0]) * np.exp([-8.0, -700.0])).tobytes()
 
 
 def _langevin(kappa: float) -> float:
