@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import proper_svd, rotate, transpose
+from .geom import ProperSvd, proper_svd, rotate, transpose
 
 # Relative threshold on the second singular value of y.T @ x below which
 # the optimal rotation is not unique (collinear/planar-degenerate input).
@@ -31,14 +31,14 @@ def _degenerate(s: np.ndarray) -> np.ndarray:
     return s[..., 1] <= DEGENERACY_RTOL * s[..., 0]
 
 
-def _kabsch(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations ``(..., 3, 3)`` and degenerate flags ``(...)`` for stacks of pairs."""
+def _cross_svd(y: np.ndarray, x: np.ndarray) -> ProperSvd:
+    """Proper SVD of ``y.T @ x``, pair by pair for stacks: the one factorization that
+    alignment, expansion and oracle read.  Shapes that differ raise ``AlignmentError``."""
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if y.shape != x.shape:
         raise AlignmentError(f"shape mismatch: {y.shape} vs {x.shape}")
-    u, s, v = proper_svd(transpose(y) @ x)
-    return u @ transpose(v), _degenerate(s)
+    return proper_svd(transpose(y) @ x)
 
 
 def kabsch(y: np.ndarray, x: np.ndarray) -> KabschResult:
@@ -55,8 +55,9 @@ def kabsch(y: np.ndarray, x: np.ndarray) -> KabschResult:
     Stacks of clouds ``(..., N, 3)`` align pair by pair: the rotations
     are ``(..., 3, 3)`` and ``degenerate`` is a boolean array ``(...)``.
     """
-    rotation, degenerate = _kabsch(y, x)
-    return KabschResult(rotation, degenerate if degenerate.ndim else bool(degenerate))
+    u, s, v = _cross_svd(y, x)
+    degenerate = _degenerate(s)
+    return KabschResult(u @ transpose(v), degenerate if degenerate.ndim else bool(degenerate))
 
 
 def rmsd(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -72,5 +73,5 @@ def rmsd(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 
 def aligned_rmsd(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """RMSD after optimally rotating ``b`` onto ``a``; lower-bounds rmsd."""
-    r, _ = _kabsch(a, b)
-    return rmsd(a, rotate(r, b))
+    u, _, v = _cross_svd(a, b)
+    return rmsd(a, rotate(u @ transpose(v), b))

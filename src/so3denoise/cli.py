@@ -35,7 +35,7 @@ from .estimators import (
 from .fisher import mf_from_observation, mf_mean_laplace
 from .geom import rotate
 from .quadrature import mf_mean_quadrature
-from .trajectory import Trajectory, load_trajectory, save_trajectory
+from .trajectory import Trajectory, _rms_point_norm, load_trajectory, save_trajectory
 
 
 def _emit(payload: dict) -> None:
@@ -163,7 +163,7 @@ def _cmd_sample(args) -> int:
         cloud = ddim_sample(_walk_denoiser(model), schedule, model.n_points, rng)
     if not np.isfinite(cloud).all():
         raise ValueError(f"sampling from {args.model} gave non-finite coordinates (a diverged model?)")
-    traj = Trajectory(cloud[None], "sampled", float(np.sqrt(np.mean(np.sum(cloud**2, axis=1)))))
+    traj = Trajectory(cloud[None], "sampled", _rms_point_norm(cloud))
     save_trajectory(traj, args.out)
     _emit({"out": args.out, "n_points": model.n_points, "schedule": list(sigmas)})
     return 0

@@ -33,6 +33,7 @@ import numpy as np
 from .align import aligned_rmsd, rmsd
 from .estimators import EstimatorKind, _write_csv, estimator_target
 from .geom import _noised, center, rotate
+from .trajectory import _rms_point_norm
 
 _PARAM_FIELDS = ("w1", "b1", "w2", "b2")
 
@@ -231,11 +232,9 @@ class LossAndGrad(NamedTuple):
     n_excluded: int
 
 
-def _targets(ys, xs, r_aug, sigma: float, estimator: EstimatorKind, tol: float):
+def _targets(ys, xs, r_aug, sigma: float, estimator: EstimatorKind):
     """Estimator targets for stacked pairs and the mask of items to keep."""
-    return estimator_target(
-        estimator, ys, xs, sigma, r_aug=r_aug if estimator is EstimatorKind.AUG else None, tol=tol
-    )
+    return estimator_target(estimator, ys, xs, sigma, r_aug=r_aug if estimator is EstimatorKind.AUG else None)
 
 
 def _batch_loss_and_grad(
@@ -274,7 +273,6 @@ def loss_and_grad(
     batch: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     sigma: float,
     estimator: EstimatorKind,
-    tol: float = 1e-8,
 ) -> LossAndGrad:
     """Mean matching loss over a batch and its parameter gradients.
 
@@ -285,14 +283,13 @@ def loss_and_grad(
     if not batch:
         raise ValueError("batch must be nonempty")
     ys, xs, r_aug = (np.stack(part) for part in zip(*batch))
-    return _batch_loss_and_grad(m, ys, *_targets(ys, xs, r_aug, sigma, estimator, tol), sigma)
+    return _batch_loss_and_grad(m, ys, *_targets(ys, xs, r_aug, sigma, estimator), sigma)
 
 
 def train(
     cfg: TrainConfig,
     dataset: np.ndarray,
     probe_size: int = 16,
-    tol: float = 1e-8,
 ) -> TrainResult:
     """Adam-train an MLP denoiser against the configured estimator target.
 
@@ -330,7 +327,7 @@ def train(
     if not np.all(np.isfinite(frames)):
         raise ValueError("dataset coordinates must be finite")
     n_points = frames.shape[1]
-    s_ref = float(np.sqrt(np.mean(np.sum(frames[0] ** 2, axis=1))))
+    s_ref = _rms_point_norm(frames[0])
     if not s_ref > 0:
         raise ValueError("frame 0 has zero RMS norm; the denoiser's input scale is taken from it")
 
@@ -353,7 +350,7 @@ def train(
 
     probe_ys, probe_xs, probe_r = draw_batch(1, probe_size)
     probe_truth = rotate(probe_r, probe_xs)
-    probe_targets, probe_keep = _targets(probe_ys, probe_xs, probe_r, cfg.sigma, cfg.estimator, tol)
+    probe_targets, probe_keep = _targets(probe_ys, probe_xs, probe_r, cfg.sigma, cfg.estimator)
 
     block_steps = max(1, _BLOCK_POINTS // (cfg.batch * n_points))
     preds = np.empty((block_steps, probe_size, n_points, 3))  # probe predictions of a block
@@ -397,7 +394,7 @@ def train(
         for first in range(1, cfg.steps + 1, block_steps):
             n_steps = min(block_steps, cfg.steps + 1 - first)
             ys, xs, r_aug = draw_batch(n_steps, cfg.batch)
-            targets, keep = _targets(ys, xs, r_aug, cfg.sigma, cfg.estimator, tol)
+            targets, keep = _targets(ys, xs, r_aug, cfg.sigma, cfg.estimator)
             for step in range(first, first + n_steps):
                 rows = slice((step - first) * cfg.batch, (step - first + 1) * cfg.batch)
                 try:

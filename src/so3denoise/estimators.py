@@ -9,13 +9,13 @@ a noisy rotated observation ``y`` of a clean cloud ``x``:
 * ``ORDER2``  -- plus the sigma^4 correction,
 * ``ORACLE``  -- the quadrature posterior mean (ground truth).
 
-ORDER0-2 truncate one series, the small-noise expansion of the posterior
-mean, and come from one proper SVD of ``y.T @ x``.  ``estimator_target``
+ORDER0-2 truncate the small-noise series of the posterior mean; they and
+ORACLE all come from one proper SVD of ``y.T @ x``.  ``estimator_target``
 takes one pair or a stack of pairs, and on a stack ``sigma`` may vary
 per item.  ``error_sweep`` measures the mean squared error of each
 estimator against the oracle across noise levels, reproducibly from a
 seed, over one stack of every draw: one factorization serves ORDER0-2
-and one the oracle.
+and the oracle.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .align import AlignmentError, _degenerate
-from .fisher import _check_sigma, _expansion, _power, mf_from_observation
-from .geom import _noised, frobenius_norm_sq, proper_svd, rotate, transpose
-from .quadrature import mf_mean_quadrature, oracle_conditional_denoiser
+from .align import _cross_svd, _degenerate
+from .fisher import _check_sigma, _expansion
+from .geom import _noised, frobenius_norm_sq, rotate, transpose
+from .quadrature import _oracle_mean
 
 SWEEP_CSV_HEADER = ["sigma", "kind", "mean_mse", "stderr", "n_samples", "n_excluded", "seed"]
 
@@ -81,9 +81,10 @@ def estimator_target(
     ``r_aug`` must be supplied exactly when ``kind`` is AUG: the
     augmentation rotation is not a function of (y, x, sigma) alone.
     Order-1/2 targets raise :class:`ExpansionSingularError` on
-    near-degenerate spectra; a degenerate alignment is flagged with
-    :class:`DegenerateAlignmentWarning`.  For ORDER0-2, clouds of
-    different shapes raise :class:`AlignmentError`.
+    near-degenerate spectra, and ORACLE ones that miss ``tol`` raise
+    :class:`NoConvergenceError`; a degenerate alignment is flagged with
+    :class:`DegenerateAlignmentWarning`.  For every kind but AUG, clouds
+    of different shapes raise :class:`AlignmentError`.
 
     Stacks of pairs ``(..., N, 3)`` (with ``r_aug`` of shape
     ``(..., 3, 3)``) return ``BatchTargets(targets, keep)``, and ``sigma``
@@ -98,35 +99,27 @@ def estimator_target(
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     _check_sigma(sigma, y.shape[:-2])
-    batched = y.ndim > 2
-    keep = np.ones(y.shape[:-2], dtype=bool)
-
     if kind is EstimatorKind.AUG:
-        targets = rotate(r_aug, x)
-    elif kind is EstimatorKind.ORACLE:
-        if not batched:
-            return oracle_conditional_denoiser(y, x, sigma, tol)
-        mean, keep = mf_mean_quadrature(transpose(y) @ x / _power(sigma, 2.0)[..., None, None], tol)
-        targets = x @ transpose(mean)
+        targets, keep = rotate(r_aug, x), np.ones(y.shape[:-2], dtype=bool)
     else:
-        [(targets, keep)] = _expansion_targets(y, x, sigma, (_ORDERS[kind],))
-    return BatchTargets(targets, keep) if batched else targets
+        [(targets, keep)] = _expansion_targets(y, x, sigma, (kind,), tol)
+    return BatchTargets(targets, keep) if y.ndim > 2 else targets
 
 
 def _expansion_targets(
-    y: np.ndarray, x: np.ndarray, sigma: float | np.ndarray, orders: tuple[int, ...]
+    y: np.ndarray, x: np.ndarray, sigma: float | np.ndarray, kinds: tuple[EstimatorKind, ...], tol: float
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Targets ``x @ mean.T`` and keep masks of each of ``orders``, from one
-    proper SVD of ``y.T @ x``; with order 0, degenerate alignments warn once."""
-    if y.shape != x.shape:
-        raise AlignmentError(f"shape mismatch: {y.shape} vs {x.shape}")
-    svd = proper_svd(transpose(y) @ x)
-    if 0 in orders and _degenerate(svd.s).any():
+    """Targets ``x @ mean.T`` and keep masks of each of ``kinds`` (ORDER0-2 and
+    ORACLE), from one proper SVD of ``y.T @ x``; with ORDER0, degenerate
+    alignments warn once."""
+    svd = _cross_svd(y, x)
+    if EstimatorKind.ORDER0 in kinds and _degenerate(svd.s).any():
         warnings.warn("alignment is degenerate; target not unique", DegenerateAlignmentWarning)
     targets = []
-    for order in orders:
-        mean, singular = _expansion(svd, sigma, order)
-        targets.append((x @ transpose(mean), ~singular))
+    for kind in kinds:
+        mean, failed = (_oracle_mean(svd, sigma, tol) if kind is EstimatorKind.ORACLE
+                        else _expansion(svd, sigma, _ORDERS[kind]))
+        targets.append((x @ transpose(mean), ~failed))
     return targets
 
 
@@ -150,10 +143,10 @@ def error_sweep(
     mean and counted in ``n_excluded``, never silently substituted.
     Deterministic given ``seed``: each draw has its own stream from
     (seed, sigma index, sample index).  The draws are then stacked across
-    every noise level, each item with its own sigma.  The oracle takes one
-    proper SVD of the stack, and ORDER0, ORDER1 and ORDER2 share another:
-    two factorizations per sweep.  Degenerate alignments warn once per
-    sweep.
+    every noise level, each item with its own sigma.  The oracle and
+    ORDER0, ORDER1 and ORDER2 share one proper SVD of the stacked
+    ``y.T @ x``: one factorization per sweep.  Degenerate alignments warn
+    once per sweep.
     """
     x = np.asarray(x, dtype=float)
     if n_noise < 1:
@@ -176,9 +169,8 @@ def error_sweep(
     ys, r_aug = _noised(x, q, eta, sigma[:, None, None])
     xs = np.broadcast_to(x, ys.shape)
 
-    oracle, converged = estimator_target(EstimatorKind.ORACLE, ys, xs, sigma, tol=tol)
-    scored = [estimator_target(EstimatorKind.AUG, ys, xs, sigma, r_aug=r_aug)]
-    scored += _expansion_targets(ys, xs, sigma, tuple(_ORDERS.values()))
+    (oracle, converged), *scored = _expansion_targets(ys, xs, sigma, (EstimatorKind.ORACLE, *_ORDERS), tol)
+    scored.insert(0, estimator_target(EstimatorKind.AUG, ys, xs, sigma, r_aug=r_aug))
     mse = np.empty((len(_SWEEP_KINDS), len(sigma)))
     keep = np.empty(mse.shape, dtype=bool)
     for k, (targets, kept) in enumerate(scored):
@@ -262,10 +254,9 @@ def averaging_offset_check(
     """
     if not probes:
         raise ValueError("need at least one probe")
-    y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     ds = [np.asarray(d, dtype=float) for d in probes]
-    mean_x = x @ mf_mean_quadrature(mf_from_observation(y, x, sigma), tol).T
+    mean_x = estimator_target(EstimatorKind.ORACLE, y, x, sigma, tol=tol)
     deltas = [
         frobenius_norm_sq(d) + frobenius_norm_sq(x) - 2.0 * np.sum(d * mean_x)
         - frobenius_norm_sq(d - mean_x)

@@ -2,8 +2,8 @@
 
 The exact first moment of matrix Fisher distributions, the optimal
 conditional denoiser built on it, and a global grid with the partition
-function.  This ground-truth path shares no code with the expansion in
-:mod:`so3denoise.fisher`, so their agreement is evidence, not tautology.
+function.  This ground-truth path shares only the SVD of ``y.T @ x`` with the
+expansion in :mod:`so3denoise.fisher`, not its formulas: agreement is evidence.
 
 The first moment uses the canonical-frame 1-D Bessel representation of
 the matrix Fisher normalizer (Wood 1993; Lee, Leok & McClamroch 2018).
@@ -35,8 +35,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fisher import MatrixFisher, mf_from_observation
-from .geom import proper_svd, transpose
+from .align import _cross_svd
+from .fisher import MatrixFisher, _check_sigma, _power
+from .geom import ProperSvd, proper_svd, transpose
 
 # Tanh-sinh nodes t = k h on [-_T_MAX, _T_MAX]; h starts at _START_STEP and
 # halves at most _MAX_HALVINGS times, so a converged result has >= 225 nodes.
@@ -68,7 +69,6 @@ class So3Grid:
 
     rotations: np.ndarray  # (M, 3, 3)
     weights: np.ndarray    # (M,)
-    n: int                 # nodes per axis
 
 
 def _plane_rotation(angles: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -93,7 +93,7 @@ def so3_grid_global(n: int) -> So3Grid:
     rotations = (rab[None] @ rot_z[:, None]).reshape(-1, 3, 3)
     # Haar weight: (2pi/n)^2 * gl_w / (8 pi^2) = gl_w / (2 n^2); sums to 1.
     weights = np.tile(gl_w / (2.0 * n * n), n * n)
-    return So3Grid(rotations, weights, n)
+    return So3Grid(rotations, weights)
 
 
 def mf_log_partition(p: MatrixFisher, grid: So3Grid) -> float:
@@ -154,20 +154,17 @@ class OracleMean(NamedTuple):
     converged: np.ndarray
 
 
-def mf_mean_quadrature(p: MatrixFisher | np.ndarray, tol: float = 1e-8) -> np.ndarray | OracleMean:
-    """Exact first moment E[R] of MF(R; f) by nested tanh-sinh quadrature.
-
-    The step halves until two successive diagonals d agree to ``tol`` per
-    entry, which bounds the change in every entry of E[R]; failure to
-    converge raises :class:`NoConvergenceError` carrying the last two
-    estimates.  A stack of concentrations ``(..., 3, 3)`` returns
-    ``OracleMean(mean, converged)`` instead, NaN where not converged; each
-    item stops at its own level, so it equals its single call exactly.
-    """
+def _oracle_mean(svd: ProperSvd, sigma, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``mf_mean_quadrature`` of ``u diag(s / sigma**2) v.T`` for the proper SVD of ``y.T @ x``
+    and one ``sigma`` or one per item, scaled item by item as in ``fisher._expansion``; returns
+    the means and the mask of items that did not converge (a single one raises)."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    f = p.f if isinstance(p, MatrixFisher) else np.asarray(p, dtype=float)
-    u, s, v = proper_svd(f)
+    u, s, v = svd
+    with np.errstate(all="ignore"):  # a non-finite concentration raises below
+        s = s / _power(sigma, 2.0)[..., None]
+    if not np.all(np.isfinite(s)):
+        raise ValueError("the concentration y.T @ x / sigma**2 is not finite")
     u, s, vt = u.reshape(-1, 3, 3), s.reshape(-1, 3), transpose(v).reshape(-1, 3, 3)
     first, second = _level_sums(s, (0, 1))
     num, den = sums = np.array(first)  # num and den are views into sums
@@ -182,15 +179,28 @@ def mf_mean_quadrature(p: MatrixFisher | np.ndarray, tol: float = 1e-8) -> np.nd
         d[pending] = 1.0 - num[pending] / den[pending]
         pending &= np.max(np.abs(d - prev), axis=1) >= tol
     mean = (u * d[:, None, :]) @ vt
-    if f.ndim > 2:
-        mean[pending] = np.nan
-        return OracleMean(mean.reshape(f.shape), ~pending.reshape(f.shape[:-2]))
-    if pending[0]:
+    if pending[0] and v.ndim == 2:
         raise NoConvergenceError(
             f"posterior mean did not converge to tol={tol} in {_MAX_HALVINGS} halvings "
             f"(concentration {s[0, 0]:.3g})", last=mean[0], previous=(u[0] * prev[0]) @ vt[0],
         )
-    return mean[0]
+    mean[pending] = np.nan
+    return mean.reshape(v.shape), pending.reshape(v.shape[:-2])
+
+
+def mf_mean_quadrature(p: MatrixFisher | np.ndarray, tol: float = 1e-8) -> np.ndarray | OracleMean:
+    """Exact first moment E[R] of MF(R; f) by nested tanh-sinh quadrature.
+
+    The step halves until two successive diagonals d agree to ``tol`` per
+    entry, which bounds the change in every entry of E[R]; failure to
+    converge raises :class:`NoConvergenceError` carrying the last two
+    estimates.  A stack of concentrations ``(..., 3, 3)`` returns
+    ``OracleMean(mean, converged)`` instead, NaN where not converged; each
+    item stops at its own level, so it equals its single call exactly.
+    """
+    f = p.f if isinstance(p, MatrixFisher) else np.asarray(p, dtype=float)
+    mean, pending = _oracle_mean(proper_svd(f), 1.0, tol)
+    return mean if f.ndim == 2 else OracleMean(mean, ~pending)
 
 
 def oracle_conditional_denoiser(
@@ -198,8 +208,9 @@ def oracle_conditional_denoiser(
 ) -> np.ndarray:
     """Posterior-mean denoiser target: E[R | y, x, sigma] applied to x.
 
-    The mean over the rotation posterior MF(y.T x / sigma^2) is not a
-    rotation, but acts on coordinates the same way.
+    The mean over the rotation posterior MF(y.T x / sigma^2) is not a rotation,
+    but acts on coordinates the same way: the ORACLE ``estimator_target``.
     """
-    mean = mf_mean_quadrature(mf_from_observation(y, x, sigma), tol)
-    return np.asarray(x, dtype=float) @ mean.T
+    _check_sigma(sigma)
+    mean, _ = _oracle_mean(_cross_svd(y, x), sigma, tol)
+    return np.asarray(x, dtype=float) @ transpose(mean)

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from so3denoise.align import kabsch
+from so3denoise.align import AlignmentError, kabsch
 from so3denoise.diffusion import MlpDenoiser, mlp_forward
 from so3denoise.estimators import DegenerateAlignmentWarning, EstimatorKind, estimator_target
 from so3denoise.fisher import ExpansionSingularError, _pairwise_sums, _power, c1, c2, mf_mean_laplace
 from so3denoise.geom import center, proper_svd, rotate, sample_haar
-from so3denoise.quadrature import NoConvergenceError, mf_mean_quadrature
+from so3denoise.quadrature import NoConvergenceError, mf_mean_quadrature, oracle_conditional_denoiser
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -248,6 +248,38 @@ def test_estimator_target_stack_equals_per_item(pairs_sigma, kind, seed):
         if kind is EstimatorKind.ORDER0:  # the order-0 target is the Kabsch alignment
             assert np.array_equal(rotate(kabsch(y, x).rotation, x), targets[i])
     assert len(batch_warnings) == int(any_degenerate)
+
+
+@SETTINGS
+@given(st.lists(cloud_pair(), min_size=1, max_size=4),
+       st.lists(st.floats(1e-3, 3.0), min_size=4, max_size=4))
+def test_oracle_target_comes_from_the_shared_svd(pairs, rel):
+    # planar, near-collinear and reflected pairs at sigma from 1e-3 to 3 times the
+    # scale: the single ORACLE target, its stacked item and oracle_conditional_denoiser
+    # are one computation, and the spectrum scaled after the SVD moves the oracle by at
+    # most rounding from the SVD of y.T @ x / sigma**2
+    ys, xs = (np.stack(part) for part in zip(*pairs))
+    scale = max(float(np.sqrt(np.mean(xs * xs))), 1e-12)
+    sigmas = [r * scale for r in rel[: len(pairs)]]
+    targets, keep = estimator_target(EstimatorKind.ORACLE, ys, xs, np.array(sigmas))
+    for i, ((y, x), s) in enumerate(zip(pairs, sigmas)):
+        try:
+            one = estimator_target(EstimatorKind.ORACLE, y, x, s)
+        except NoConvergenceError:
+            assert not keep[i]
+            with pytest.raises(NoConvergenceError):
+                oracle_conditional_denoiser(y, x, s)
+            continue
+        assert keep[i] and np.array_equal(one, targets[i])
+        assert np.array_equal(one, oracle_conditional_denoiser(y, x, s))
+        scaled_first = x @ mf_mean_quadrature(y.T @ x / s**2).T
+        assert np.max(np.abs(one - scaled_first)) <= 1e-12 * np.linalg.norm(x)
+    # clouds of different sizes are an alignment error, single and stacked
+    for y, x, s in ((ys[0], xs[0, 1:], sigmas[0]), (ys, xs[:, 1:], np.array(sigmas))):
+        with pytest.raises(AlignmentError):
+            estimator_target(EstimatorKind.ORACLE, y, x, s)
+    with pytest.raises(AlignmentError):
+        oracle_conditional_denoiser(ys[0], xs[0, 1:], sigmas[0])
 
 
 @SETTINGS

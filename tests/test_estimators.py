@@ -182,15 +182,17 @@ def test_sweep_records_mixing_kept_and_excluded_draws(monkeypatch, cloud):
     sigmas, n_noise, seed, tol = [0.05, 0.2, 0.5], 10, 4, 1e-6
     dropped = {(0, 3), *((1, j) for j in range(9)), *((2, j) for j in range(10))}
 
-    def flagged(f, tol):
-        mean, converged = quadrature.mf_mean_quadrature(f, tol)
+    def flagged(svd, sigma, tol):
+        mean, pending = quadrature._oracle_mean(svd, sigma, tol)
         for si, j in dropped:
-            converged[si * n_noise + j] = False
-        mean[~converged] = np.nan
-        return quadrature.OracleMean(mean, converged)
+            pending[si * n_noise + j] = True
+        mean[pending] = np.nan
+        return mean, pending
 
-    monkeypatch.setattr(estimators, "mf_mean_quadrature", flagged)
-    records = error_sweep(cloud, sigmas, n_noise=n_noise, seed=seed, tol=tol)
+    # the per-draw reference below runs unpatched: its single pairs share the oracle function
+    with monkeypatch.context() as patched:
+        patched.setattr(estimators, "_oracle_mean", flagged)
+        records = error_sweep(cloud, sigmas, n_noise=n_noise, seed=seed, tol=tol)
     assert [r.n_samples for r in records] == [9] * 4 + [1] * 4 + [0] * 4
     assert repr(_record_rows(records)) == repr(_per_draw_sweep(cloud, sigmas, n_noise, seed, tol, dropped))
 
@@ -212,18 +214,18 @@ def test_sweep_collinear_cloud_matches_per_draw_scalar_calls():
 
 
 def test_sweep_factors_each_stack_once(monkeypatch, cloud):
-    # one proper SVD of the stacked y.T @ x serves orders 0, 1 and 2, and one of
-    # it over sigma**2 the oracle, however many levels and draws the sweep has
+    # one proper SVD of the stacked y.T @ x serves orders 0, 1 and 2 and the
+    # oracle, however many levels and draws the sweep has
     calls = []
 
     def counted(a):
         calls.append(np.shape(a))
         return proper_svd(a)
 
-    for module in (geom, align, fisher, estimators, quadrature):
-        monkeypatch.setattr(module, "proper_svd", counted)
+    for module in (geom, align, fisher, estimators, quadrature):  # counted wherever bound
+        monkeypatch.setattr(module, "proper_svd", counted, raising=False)
     error_sweep(cloud, [0.05, 0.1, 0.3], n_noise=4, seed=2)
-    assert calls == [(12, 3, 3)] * 2
+    assert calls == [(12, 3, 3)]
 
 
 def test_sweep_hierarchy_holds_on_every_draw():
@@ -266,6 +268,15 @@ def test_sweep_argument_validation(cloud):
             error_sweep(cloud, [0.1, bad], n_noise=2, seed=0)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             error_sweep(cloud, [0.1], n_noise=2, seed=0, tol=bad)
+
+
+def test_oracle_target_rejects_a_concentration_that_is_not_finite(cloud):
+    # sigma**2 underflows to 0 for one pair and y.T @ x / sigma**2 overflows for one
+    # item of a stack: neither may come back as a NaN mean flagged converged
+    stack = np.stack([cloud, cloud])
+    for y, x, sigma in ((cloud, cloud, 1e-170), (stack, stack, np.array([0.1, 1e-160]))):
+        with pytest.raises(ValueError, match="is not finite"):
+            estimator_target(EstimatorKind.ORACLE, y, x, sigma)
 
 
 def test_equivariance_and_conditioning_invariance_of_orders(cloud):
