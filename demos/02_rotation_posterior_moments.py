@@ -2,9 +2,10 @@
 # # The rotation posterior and its first moment
 #
 # Observing y = R x + noise at level sigma induces a matrix Fisher
-# posterior over the rotation R with concentration y^T x / sigma^2.  The
-# ideal denoiser target is E[R] applied to x.  Two independent routes
-# compute E[R] here:
+# posterior over the rotation R with concentration y^T x / sigma^2, so
+# the pair (y^T x, sigma) is all there is to the posterior.  The ideal
+# denoiser target is E[R] applied to x.  Two independent routes compute
+# E[R] here:
 #
 # 1. a 1-D Bessel-function integral in the SVD frame (the ground truth), and
 # 2. the closed-form expansion around the alignment rotation, whose
@@ -17,13 +18,10 @@
 import numpy as np
 
 from so3denoise import (
-    MatrixFisher,
     center,
     kabsch,
-    mf_from_observation,
     mf_mean_laplace,
     mf_mean_quadrature,
-    mf_mode,
     proper_svd,
     rotate,
     sample_haar,
@@ -34,16 +32,19 @@ x = center(rng.standard_normal((8, 3)))
 sigma = 0.2
 y = center(rotate(sample_haar(rng), x) + sigma * rng.standard_normal(x.shape))
 
-posterior = mf_from_observation(y, x, sigma)
-print("concentration spectrum:", proper_svd(posterior.f).s)
+concentration = y.T @ x / sigma**2
+print("concentration spectrum:", proper_svd(concentration).s)
 
 # %% [markdown]
 # ## Mode = alignment
 #
-# The density maximizer of the posterior is exactly the Kabsch rotation.
+# The density maximizer of the posterior is the Kabsch rotation, and it
+# is the order-0 term of the expansion below: both are u v^T from the
+# same proper SVD of y^T x, so they agree bit for bit.
 
 # %%
-print("mode vs kabsch:", np.max(np.abs(mf_mode(posterior) - kabsch(y, x).rotation)))
+mode = mf_mean_laplace(y.T @ x, sigma, 0)
+print("mode vs kabsch:", np.max(np.abs(mode - kabsch(y, x).rotation)))
 
 # %% [markdown]
 # ## Exact moment vs its expansion
@@ -54,7 +55,7 @@ print("mode vs kabsch:", np.max(np.abs(mf_mode(posterior) - kabsch(y, x).rotatio
 # basis of y^T x.
 
 # %%
-exact = mf_mean_quadrature(posterior, tol=1e-8)
+exact = mf_mean_quadrature(concentration, tol=1e-8)
 print("singular values of E[R]:", np.linalg.svd(exact, compute_uv=False))
 for order in (0, 1, 2):
     approx = mf_mean_laplace(y.T @ x, sigma, order)
@@ -68,6 +69,6 @@ a = y.T @ x
 a /= proper_svd(a).s[0]
 print(f"{'sigma':>8} {'order 0':>12} {'order 1':>12} {'order 2':>12}")
 for s in (0.05, 0.08, 0.12, 0.2, 0.3):
-    ref = mf_mean_quadrature(MatrixFisher(a / s**2), tol=1e-8)
+    ref = mf_mean_quadrature(a / s**2, tol=1e-8)
     row = [np.max(np.abs(mf_mean_laplace(a, s, k) - ref)) for k in (0, 1, 2)]
     print(f"{s:8.2f} {row[0]:12.3e} {row[1]:12.3e} {row[2]:12.3e}")

@@ -4,8 +4,8 @@ Library layout:
 
 * :mod:`so3denoise.geom` -- point-cloud and SO(3) primitives.
 * :mod:`so3denoise.align` -- Kabsch alignment and RMSD metrics.
-* :mod:`so3denoise.fisher` -- the matrix Fisher distribution and its
-  closed-form moment expansion.
+* :mod:`so3denoise.fisher` -- the closed-form moment expansion of the
+  matrix Fisher rotation posterior.
 * :mod:`so3denoise.quadrature` -- deterministic integration over SO(3);
   the numerical ground truth.
 * :mod:`so3denoise.estimators` -- the denoiser-target estimator family
@@ -36,7 +36,6 @@ from .estimators import (
     DegenerateAlignmentWarning,
     EstimatorKind,
     SweepRecord,
-    averaging_offset_check,
     error_sweep,
     estimator_target,
     sweep_aug_anomalies,
@@ -45,12 +44,9 @@ from .estimators import (
 from .fisher import (
     ExpansionSingularError,
     LaplaceMean,
-    MatrixFisher,
     c1,
     c2,
-    mf_from_observation,
     mf_mean_laplace,
-    mf_mode,
 )
 from .geom import (
     ProperSvd,
@@ -64,7 +60,6 @@ from .quadrature import (
     NoConvergenceError,
     OracleMean,
     So3Grid,
-    mf_log_partition,
     mf_mean_quadrature,
     oracle_conditional_denoiser,
     so3_grid_global,

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import selftest as _selftest
-from .align import aligned_rmsd, kabsch, rmsd
+from .align import _cross_svd, kabsch, rmsd
 from .diffusion import (
     DdimSchedule,
     TrainConfig,
@@ -32,9 +32,9 @@ from .estimators import (
     sweep_aug_anomalies,
     write_sweep_csv,
 )
-from .fisher import mf_from_observation, mf_mean_laplace
+from .fisher import _check_sigma, _expansion
 from .geom import rotate
-from .quadrature import mf_mean_quadrature
+from .quadrature import _oracle_mean
 from .trajectory import Trajectory, _rms_point_norm, load_trajectory, save_trajectory
 
 
@@ -72,9 +72,10 @@ def _cmd_align(args) -> int:
 def _cmd_moment(args) -> int:
     traj = load_trajectory(args.input)
     x = _frame(traj, args.frame)
-    a = x.T @ x  # moment of the posterior for observing the frame itself
+    _check_sigma(args.sigma)
+    svd = _cross_svd(x, x)  # the posterior for observing the frame itself, factored once
     if args.order == "oracle":
-        moment = mf_mean_quadrature(mf_from_observation(x, x, args.sigma), args.tol)
+        moment, _ = _oracle_mean(svd, args.sigma, args.tol)
         errors = {}
         for order in (0, 1, 2):
             # sigma and tol passed the oracle call, so a ValueError (a singular
@@ -82,7 +83,7 @@ def _cmd_moment(args) -> int:
             # so does an overflow inside the series, which reports null
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    error = float(np.max(np.abs(mf_mean_laplace(a, args.sigma, order) - moment)))
+                    error = float(np.max(np.abs(_expansion(svd, args.sigma, order)[0] - moment)))
             except ValueError:
                 error = float("nan")
             errors[f"order{order}"] = _json_number(error)
@@ -96,7 +97,7 @@ def _cmd_moment(args) -> int:
         )
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
-            moment = mf_mean_laplace(a, args.sigma, int(args.order))
+            moment, _ = _expansion(svd, args.sigma, int(args.order))
         if not np.all(np.isfinite(moment)):
             raise ValueError(f"the order-{args.order} moment at sigma={args.sigma:g} is not finite")
         _emit({"sigma": args.sigma, "order": int(args.order), "moment": moment.tolist()})

@@ -477,7 +477,8 @@ def _config_dict(config: TrainConfig | None):
 def load_denoiser(path) -> tuple[MlpDenoiser, dict]:
     """Read a checkpoint back; returns the model and its JSON header.
 
-    A missing or invalid ``n_points``, ``hidden`` or ``s_ref`` raises ``ValueError``.
+    A missing or invalid ``n_points``, ``hidden`` or ``s_ref`` raises ``ValueError``,
+    and so does a parameter block shorter or longer than the header's sizes promise.
     """
     with open(path, "rb") as fh:
         line, _, block = fh.read().partition(b"\n")
@@ -492,6 +493,9 @@ def load_denoiser(path) -> tuple[MlpDenoiser, dict]:
     count = sum(math.prod(shape) for shape in _param_shapes(n, h).values())
     if len(block) < 8 * count:
         raise ValueError(f"truncated checkpoint: {path}")
+    if len(block) > 8 * count:
+        raise ValueError(f"checkpoint {path}: parameter block of {len(block)} bytes, "
+                         f"header promises {8 * count}")
     # one copy of the block, which the four parameters view
-    params = _param_views(np.frombuffer(block, dtype="<f8", count=count).copy(), n, h)
+    params = _param_views(np.frombuffer(block, dtype="<f8").copy(), n, h)
     return MlpDenoiser(hidden=h, n_points=n, s_ref=float(header["s_ref"]), **params), header

@@ -29,7 +29,7 @@ import numpy as np
 
 from .align import _cross_svd, _degenerate
 from .fisher import _check_sigma, _expansion
-from .geom import _noised, frobenius_norm_sq, rotate, transpose
+from .geom import _noised, rotate, transpose
 from .quadrature import _oracle_mean
 
 SWEEP_CSV_HEADER = ["sigma", "kind", "mean_mse", "stderr", "n_samples", "n_excluded", "seed"]
@@ -234,32 +234,3 @@ def write_sweep_csv(records: list[SweepRecord], path) -> None:
         for r in records
     ))
 
-
-def averaging_offset_check(
-    y: np.ndarray,
-    x: np.ndarray,
-    sigma: float,
-    probes: list[np.ndarray],
-    tol: float = 1e-8,
-) -> float:
-    """Numerically verify that averaging a target only shifts the loss by a constant.
-
-    For each probe output ``d`` computes, from the posterior mean,
-    ``delta(d) = E_R[||d - R x||^2] - ||d - E_R[R] x||^2`` and returns
-    the maximum spread ``|delta(d_i) - delta(d_0)|``.  The averaging
-    identity predicts the spread is zero (delta is the same constant for
-    every d).  The first term is linear in R,
-    ``E_R[||d - R x||^2] = |d|^2 + |x|^2 - 2 <d, E_R[R] x>``, so every
-    expectation comes from one quadrature of E_R[R].
-    """
-    if not probes:
-        raise ValueError("need at least one probe")
-    x = np.asarray(x, dtype=float)
-    ds = [np.asarray(d, dtype=float) for d in probes]
-    mean_x = estimator_target(EstimatorKind.ORACLE, y, x, sigma, tol=tol)
-    deltas = [
-        frobenius_norm_sq(d) + frobenius_norm_sq(x) - 2.0 * np.sum(d * mean_x)
-        - frobenius_norm_sq(d - mean_x)
-        for d in ds
-    ]
-    return float(max(abs(dl - deltas[0]) for dl in deltas))

@@ -1,22 +1,20 @@
-"""The matrix Fisher distribution on SO(3) and its small-noise moment expansion.
+"""The small-noise moment expansion of the matrix Fisher rotation posterior.
 
-The distribution has unnormalized density exp(Tr[F^T R]) over SO(3).
-For centered clouds ``y`` and ``x`` observed at noise level ``sigma``,
-the rotation posterior is matrix Fisher with concentration
-``F = y.T @ x / sigma**2``; its mode is the Kabsch rotation.
+The matrix Fisher distribution has unnormalized density exp(Tr[F^T R])
+over SO(3).  For centered clouds ``y`` and ``x`` observed at noise level
+``sigma``, the rotation posterior has concentration
+``F = y.T @ x / sigma**2``, so ``y.T @ x`` and ``sigma`` describe it.
 
-The closed-form approximation of the first moment E[R] is a series in
+The closed-form approximation of its first moment E[R] is a series in
 ``sigma**2`` around the mode, with diagonal correction coefficients
-``c1`` and ``c2`` in the SVD basis of the concentration matrix; its
-order-0 term, the mode, is the Kabsch alignment.  The
-quadrature module provides the independent numerical reference these
-formulas are validated against.
+``c1`` and ``c2`` in the SVD basis of ``y.T @ x``; its order-0 term, the
+mode, is the Kabsch alignment, bit for bit.  The quadrature module
+provides the independent numerical reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,19 +30,6 @@ class ExpansionSingularError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class MatrixFisher:
-    """Concentration parameter ``f`` (3x3) of a matrix Fisher distribution."""
-
-    f: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.f, dtype=float)
-        if f.shape != (3, 3) or not np.all(np.isfinite(f)):
-            raise ValueError("concentration parameter must be a finite 3x3 matrix")
-        object.__setattr__(self, "f", f)
-
-
 def _check_sigma(sigma: float | np.ndarray, shape: tuple[int, ...] = ()) -> None:
     """Reject noise levels that are not positive and finite (NaN included);
     an array of per-item levels must have the stack's leading ``shape``."""
@@ -53,24 +38,6 @@ def _check_sigma(sigma: float | np.ndarray, shape: tuple[int, ...] = ()) -> None
         raise ValueError(f"sigma of shape {s.shape} does not match the stack's {shape}")
     if not ((0 < s) & (s < math.inf)).all():
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-
-
-def mf_from_observation(y: np.ndarray, x: np.ndarray, sigma: float) -> MatrixFisher:
-    """Rotation-posterior parameters for observing ``y`` of ``x`` at noise ``sigma``."""
-    _check_sigma(sigma)
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if y.shape != x.shape:
-        raise ValueError(f"shape mismatch: {y.shape} vs {x.shape}")
-    return MatrixFisher(y.T @ x / _power(sigma, 2.0))
-
-
-def mf_mode(p: MatrixFisher) -> np.ndarray:
-    """Density maximizer ``u @ v.T`` from the sign-corrected SVD of ``f``."""
-    if not np.any(p.f):
-        raise ValueError("mode undefined for zero concentration")
-    u, _, v = proper_svd(p.f)
-    return u @ v.T
 
 
 # entry i of the sums leaves out s_i; entry i of c1, c2 combines the other two sums

@@ -1,9 +1,9 @@
 """Deterministic numerical integration over SO(3).
 
 The exact first moment of matrix Fisher distributions, the optimal
-conditional denoiser built on it, and a global grid with the partition
-function.  This ground-truth path shares only the SVD of ``y.T @ x`` with the
-expansion in :mod:`so3denoise.fisher`, not its formulas: agreement is evidence.
+conditional denoiser built on it, and a global grid over SO(3).  This
+ground-truth path shares only the SVD of ``y.T @ x`` with the expansion
+in :mod:`so3denoise.fisher`, not its formulas: agreement is evidence.
 
 The first moment uses the canonical-frame 1-D Bessel representation of
 the matrix Fisher normalizer (Wood 1993; Lee, Leok & McClamroch 2018).
@@ -23,7 +23,7 @@ sums each level on its own, so the first convergence check costs one
 Bessel pass.
 
 The ZYZ Euler product grid (trapezoid in the two azimuths,
-Gauss-Legendre in cos(beta)) gives the log partition function and an
+Gauss-Legendre in cos(beta)) integrates over SO(3) by brute force, an
 independent reference for the moment.
 """
 
@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .align import _cross_svd
-from .fisher import MatrixFisher, _check_sigma, _power
+from .fisher import _check_sigma, _power
 from .geom import ProperSvd, proper_svd, transpose
 
 # Tanh-sinh nodes t = k h on [-_T_MAX, _T_MAX]; h starts at _START_STEP and
@@ -94,13 +94,6 @@ def so3_grid_global(n: int) -> So3Grid:
     # Haar weight: (2pi/n)^2 * gl_w / (8 pi^2) = gl_w / (2 n^2); sums to 1.
     weights = np.tile(gl_w / (2.0 * n * n), n * n)
     return So3Grid(rotations, weights)
-
-
-def mf_log_partition(p: MatrixFisher, grid: So3Grid) -> float:
-    """log of the Haar-normalized partition function Z(f) on a global grid."""
-    logp = np.einsum("ij,nij->n", p.f, grid.rotations)
-    shift = logp.max()
-    return float(shift + np.log(np.sum(grid.weights * np.exp(logp - shift))))
 
 
 def _i0e(z: np.ndarray) -> np.ndarray:
@@ -188,8 +181,10 @@ def _oracle_mean(svd: ProperSvd, sigma, tol: float) -> tuple[np.ndarray, np.ndar
     return mean.reshape(v.shape), pending.reshape(v.shape[:-2])
 
 
-def mf_mean_quadrature(p: MatrixFisher | np.ndarray, tol: float = 1e-8) -> np.ndarray | OracleMean:
+def mf_mean_quadrature(f: np.ndarray, tol: float = 1e-8) -> np.ndarray | OracleMean:
     """Exact first moment E[R] of MF(R; f) by nested tanh-sinh quadrature.
+
+    For the rotation posterior ``f = y.T @ x / sigma**2``; a non-finite one raises ``ValueError``.
 
     The step halves until two successive diagonals d agree to ``tol`` per
     entry, which bounds the change in every entry of E[R]; failure to
@@ -198,7 +193,7 @@ def mf_mean_quadrature(p: MatrixFisher | np.ndarray, tol: float = 1e-8) -> np.nd
     ``OracleMean(mean, converged)`` instead, NaN where not converged; each
     item stops at its own level, so it equals its single call exactly.
     """
-    f = p.f if isinstance(p, MatrixFisher) else np.asarray(p, dtype=float)
+    f = np.asarray(f, dtype=float)
     mean, pending = _oracle_mean(proper_svd(f), 1.0, tol)
     return mean if f.ndim == 2 else OracleMean(mean, ~pending)
 

@@ -7,13 +7,13 @@ symmetries, gradient correctness and the DDIM closed forms.  ``run``
 prints one line per check and returns a process exit code.
 
 The public check functions are the bodies of the acceptance criteria
-C01-C03, C05, C06, C08 and of parts of C07 and C10
-(``tests/test_acceptance.py`` calls them with its own seeds and sample
-counts); ``selftest`` runs the same bodies at reduced sizes.  Each takes
-an RNG (or seed) and its sample counts, raises :class:`CheckFailed` (an
-``AssertionError`` that ``python -O`` does not strip) when the invariant
-fails and returns the figure its acceptance PASS line prints, or None
-where that line prints only its inputs.
+C01-C03, C05, C06 (with ``averaging_offset_check``), C08 and of parts of
+C07 and C10 (``tests/test_acceptance.py`` calls them with its own seeds
+and sample counts); ``selftest`` runs the same bodies at reduced sizes.
+Each takes an RNG (or seed) and its sample counts, raises
+:class:`CheckFailed` (an ``AssertionError`` that ``python -O`` does not
+strip) when the invariant fails and returns the figure its acceptance
+PASS line prints, or None where that line prints only its inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .align import kabsch
 from .diffusion import DdimSchedule, MlpDenoiser, ddim_sample, loss_and_grad, noise_sample
-from .estimators import EstimatorKind, averaging_offset_check, estimator_target
+from .estimators import EstimatorKind, estimator_target
 from .fisher import c1, c2, mf_mean_laplace
 from .geom import _quat_to_matrix, center, frobenius_norm_sq, proper_svd, rotate, sample_haar
 from .quadrature import mf_mean_quadrature, so3_grid_global
@@ -141,6 +141,36 @@ def oracle_symmetries(rng: np.random.Generator, n_draws: int) -> tuple[float, fl
         worst_inv = max(worst_inv, float(np.max(np.abs(inv - base))) / (tol * scale))
     _require(worst_equi < 2.0 and worst_inv < 2.0, f"dev/(tol*|x|) {worst_equi} / {worst_inv}")
     return worst_equi, worst_inv
+
+
+def averaging_offset_check(
+    y: np.ndarray,
+    x: np.ndarray,
+    sigma: float,
+    probes: list[np.ndarray],
+    tol: float = 1e-8,
+) -> float:
+    """Numerically verify that averaging a target only shifts the loss by a constant.
+
+    For each probe output ``d`` computes, from the posterior mean,
+    ``delta(d) = E_R[||d - R x||^2] - ||d - E_R[R] x||^2`` and returns
+    the maximum spread ``|delta(d_i) - delta(d_0)|``.  The averaging
+    identity predicts the spread is zero (delta is the same constant for
+    every d).  The first term is linear in R,
+    ``E_R[||d - R x||^2] = |d|^2 + |x|^2 - 2 <d, E_R[R] x>``, so every
+    expectation comes from one quadrature of E_R[R].
+    """
+    if not probes:
+        raise ValueError("need at least one probe")
+    x = np.asarray(x, dtype=float)
+    ds = [np.asarray(d, dtype=float) for d in probes]
+    mean_x = estimator_target(EstimatorKind.ORACLE, y, x, sigma, tol=tol)
+    deltas = [
+        frobenius_norm_sq(d) + frobenius_norm_sq(x) - 2.0 * np.sum(d * mean_x)
+        - frobenius_norm_sq(d - mean_x)
+        for d in ds
+    ]
+    return float(max(abs(dl - deltas[0]) for dl in deltas))
 
 
 def averaging_offset(rng: np.random.Generator, n_instances: int) -> None:

@@ -13,9 +13,8 @@ import numpy as np
 
 from so3denoise.diffusion import TrainConfig, noise_sample, train
 from so3denoise.estimators import EstimatorKind, error_sweep
-from so3denoise.fisher import MatrixFisher
 from so3denoise.geom import frobenius_norm_sq, rotate, sample_haar
-from so3denoise.quadrature import mf_log_partition, so3_grid_global
+from so3denoise.quadrature import so3_grid_global
 from so3denoise.selftest import (
     alignment_commutation,
     averaging_offset,
@@ -27,6 +26,7 @@ from so3denoise.selftest import (
     oracle_symmetries,
 )
 from so3denoise.trajectory import synth_trajectory
+from test_quadrature import log_partition
 
 
 def _report(criterion: int, detail: str) -> None:
@@ -152,9 +152,9 @@ def test_c09_training_smoke():
 def test_c10_quadrature_sanity():
     grid_moments(16)
 
-    p = MatrixFisher(np.diag([5.0, 4.0, 3.0]))
-    z32 = np.exp(mf_log_partition(p, so3_grid_global(32)))
-    z64 = np.exp(mf_log_partition(p, so3_grid_global(64)))
+    f = np.diag([5.0, 4.0, 3.0])
+    z32 = np.exp(log_partition(f, so3_grid_global(32)))
+    z64 = np.exp(log_partition(f, so3_grid_global(64)))
     rel = abs(z32 - z64) / z64
     assert rel < 1e-8
     _report(10, f"grid moments in tolerance; partition self-convergence {rel:.1e}")

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,10 +10,12 @@ import pytest
 
 import so3denoise
 import so3denoise.selftest
-from so3denoise import cli
+from so3denoise import align, cli, fisher, geom, quadrature
 from so3denoise.cli import main
 from so3denoise.diffusion import MlpDenoiser, save_denoiser
+from so3denoise.fisher import mf_mean_laplace
 from so3denoise.geom import proper_svd
+from so3denoise.quadrature import mf_mean_quadrature
 from so3denoise.trajectory import Trajectory, load_trajectory, save_trajectory, synth_trajectory
 
 
@@ -86,6 +89,35 @@ def test_moment_uniform_posterior_limits(capsys, traj_path):
     )
     assert code == 0
     assert np.max(np.abs(payload["moment"])) < s1 / (2 * 100.0)
+
+
+def test_moment_factors_its_frame_once(capsys, monkeypatch, traj_path):
+    # one proper SVD of x.T @ x serves the oracle and every order; an order alone
+    # prints mf_mean_laplace's moment byte for byte
+    calls = []
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return proper_svd(a)
+
+    for module in (geom, align, fisher, quadrature, cli):  # counted wherever bound
+        monkeypatch.setattr(module, "proper_svd", counted, raising=False)
+    x = load_trajectory(traj_path).frames[0]
+    for sigma in (0.05, 0.5, 3.0):
+        argv = ["moment", "--input", traj_path, "--sigma", repr(sigma)]
+        calls.clear()
+        code, payload = run_json(capsys, argv)
+        assert code == 0 and calls == [(3, 3)]
+        moment = np.array(payload["moment"])
+        for k in (0, 1, 2):
+            error = np.max(np.abs(mf_mean_laplace(x.T @ x, sigma, k) - moment))
+            assert payload["per_order_max_abs_error"][f"order{k}"] == error
+        assert np.max(np.abs(moment - mf_mean_quadrature(x.T @ x / sigma**2, 1e-6))) <= 1e-14
+        for k in (0, 1, 2):
+            calls.clear()
+            assert main(argv + ["--order", str(k)]) == 0 and calls == [(3, 3)]
+            want = {"sigma": sigma, "order": k, "moment": mf_mean_laplace(x.T @ x, sigma, k).tolist()}
+            assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
 
 
 def test_sweep_byte_identical_and_parseable(capsys, tmp_path, traj_path):
@@ -165,6 +197,31 @@ def test_sample_from_a_truncated_checkpoint_exits_1(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err == f"error: truncated checkpoint: {model}\n"
+
+
+def _checkpoint_bytes(path, hidden: int) -> tuple[bytes, bytes]:
+    """Header line and parameter block of a freshly saved 8-point checkpoint."""
+    save_denoiser(MlpDenoiser.initialize(8, hidden, 1.0, np.random.default_rng(0)), path)
+    line, _, block = path.read_bytes().partition(b"\n")
+    return line, block
+
+
+@pytest.mark.parametrize("defect", ["trailing-bytes", "header-halves-hidden"])
+def test_sample_from_a_checkpoint_longer_than_its_header_exits_1(capsys, tmp_path, defect):
+    # a block longer than the header's sizes promise is refused, not read from its start
+    model, out = tmp_path / "model.bin", tmp_path / "s.xyz"
+    line, block = _checkpoint_bytes(model, 64)
+    if defect == "trailing-bytes":
+        promised, block = len(block), block + bytes(8)
+    else:
+        promised = len(_checkpoint_bytes(tmp_path / "h32.bin", 32)[1])
+        line = json.dumps(json.loads(line) | {"hidden": 32}).encode()
+    model.write_bytes(line + b"\n" + block)
+    assert main(["sample", "--model", str(model), "--schedule", "1,0", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (f"error: checkpoint {model}: parameter block of {len(block)} bytes, "
+                            f"header promises {promised}\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -340,6 +397,32 @@ def test_shared_parser_matches_a_fresh_parser_call_by_call(capsys, tmp_path, tra
     assert sample_a[0] == sample_b[0] == 0 and xyz_a == xyz_b
 
 
+def _bench_workloads():
+    """The benchmark's workload module, loaded from this checkout's bench/ by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_parser_accepts_every_argv_the_bench_passes(tmp_path):
+    # the bench calls main with these argv; a flag the parser lost (sweep's --tol,
+    # say) would exit 2 on every call and fail the whole bench run
+    wl = _bench_workloads()
+    sweep = wl.Sweep(1, tmp_path)
+    argvs = {
+        "sweep": sweep.argv(0, "t"),
+        "train": wl.train_argv(tmp_path / "d.xyz", wl.TRAIN_STEPS, 1, tmp_path / "m.csv",
+                               tmp_path / "m.bin"),
+        "sample": wl.Sample(1, tmp_path).argv(0, "t"),
+    }
+    parsed = {command: cli._parser().parse_args(argv) for command, argv in argvs.items()}
+    assert all(args.command == command for command, args in parsed.items())
+    assert "--tol" in argvs["sweep"] and parsed["sweep"].tol == wl.SWEEP_TOL
+
+
 def test_selftest_fast_passes(capsys):
     assert main(["selftest", "--fast"]) == 0
     out = capsys.readouterr().out
@@ -372,12 +455,11 @@ import sys
 import numpy as np
 from so3denoise.cli import main
 from so3denoise.diffusion import MlpDenoiser, save_denoiser
-from so3denoise.fisher import MatrixFisher
 from so3denoise.quadrature import mf_mean_quadrature
 from so3denoise.trajectory import save_trajectory, synth_trajectory
 
 out_dir = sys.argv[1]
-mf_mean_quadrature(MatrixFisher(np.diag([5.0, 3.0, 1.0])))
+mf_mean_quadrature(np.diag([5.0, 3.0, 1.0]))
 save_trajectory(synth_trajectory(8, 2, 0.1, seed=3), out_dir + "/t.xyz")
 code = main(["sweep", "--input", out_dir + "/t.xyz", "--frame", "0", "--sigmas", "0.1",
              "--n-noise", "2", "--seed", "1", "--out", out_dir + "/s.csv"])

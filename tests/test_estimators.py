@@ -11,7 +11,6 @@ from so3denoise.estimators import (
     SWEEP_CSV_HEADER,
     DegenerateAlignmentWarning,
     EstimatorKind,
-    averaging_offset_check,
     error_sweep,
     estimator_target,
     sweep_aug_anomalies,
@@ -20,6 +19,7 @@ from so3denoise.estimators import (
 from so3denoise.fisher import ExpansionSingularError, c1
 from so3denoise.geom import center, frobenius_norm_sq, proper_svd, rotate, sample_haar
 from so3denoise.quadrature import NoConvergenceError
+from so3denoise.selftest import averaging_offset_check
 from so3denoise.trajectory import synth_trajectory
 
 SWEEP_KINDS = [EstimatorKind.AUG, EstimatorKind.ORDER0, EstimatorKind.ORDER1, EstimatorKind.ORDER2]
@@ -320,10 +320,9 @@ def test_averaging_offset_delta_nonnegative(cloud):
     # delta(d) equals the posterior variance of the rotated cloud
     rng = np.random.default_rng(7)
     y, _ = noisy_pair(rng, cloud, 0.3)
-    from so3denoise.fisher import mf_from_observation
     from so3denoise.quadrature import mf_mean_quadrature
 
-    mean_x = cloud @ mf_mean_quadrature(mf_from_observation(y, cloud, 0.3), tol=1e-8).T
+    mean_x = cloud @ mf_mean_quadrature(y.T @ cloud / 0.3**2, tol=1e-8).T
     d = cloud
     # ||d - R x||^2 is linear in R, so its posterior mean needs only E[R]
     expected_loss = frobenius_norm_sq(d) + frobenius_norm_sq(cloud) - 2.0 * np.sum(d * mean_x)

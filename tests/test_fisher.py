@@ -1,58 +1,30 @@
 import numpy as np
 import pytest
 
-from so3denoise.fisher import (
-    ExpansionSingularError,
-    MatrixFisher,
-    c1,
-    c2,
-    mf_from_observation,
-    mf_mean_laplace,
-    mf_mode,
-)
+from so3denoise.fisher import ExpansionSingularError, c1, c2, mf_mean_laplace
 from so3denoise.geom import center, proper_svd, sample_haar
 from so3denoise.quadrature import mf_mean_quadrature, so3_grid_global
 from so3denoise.selftest import LAPLACE_SIGMAS, laplace_vs_quadrature
 
 
-def log_density_unnorm(p, r):
+def log_density_unnorm(f, r):
     """Unnormalized matrix Fisher log density Tr[f^T r]."""
-    return float(np.sum(p.f * r))
-
-
-def test_mf_from_observation_direct_product():
-    x = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
-    p = mf_from_observation(x, x, 1.0)
-    np.testing.assert_allclose(p.f, np.diag([2.0, 0, 0]), atol=1e-15)
-
-
-def test_mf_from_observation_sigma_scaling_and_reconstruction():
-    rng = np.random.default_rng(0)
-    y = center(rng.standard_normal((6, 3)))
-    x = center(rng.standard_normal((6, 3)))
-    p1 = mf_from_observation(y, x, 0.3)
-    p2 = mf_from_observation(y, x, 0.6)
-    np.testing.assert_allclose(p2.f, p1.f / 4.0, rtol=1e-14)
-    np.testing.assert_allclose(p1.f * 0.3**2, y.T @ x, rtol=1e-14)
-    with pytest.raises(ValueError):
-        mf_from_observation(y, x, 0.0)
+    return float(np.sum(f * r))
 
 
 def test_log_density_values():
     rng = np.random.default_rng(1)
-    p0 = MatrixFisher(np.zeros((3, 3)))
     for _ in range(5):
-        assert log_density_unnorm(p0, sample_haar(rng)) == 0.0
-    p = MatrixFisher(np.diag([2.5, 2.5, 2.5]))
-    assert log_density_unnorm(p, np.eye(3)) == pytest.approx(7.5)
+        assert log_density_unnorm(np.zeros((3, 3)), sample_haar(rng)) == 0.0
+    assert log_density_unnorm(np.diag([2.5, 2.5, 2.5]), np.eye(3)) == pytest.approx(7.5)
 
 
 def test_log_density_maximized_at_mode():
+    # the mode of MF(f) is the order-0 term of the expansion for y.T @ x = f
     rng = np.random.default_rng(2)
     f = rng.standard_normal((3, 3)) * 2.0
-    p = MatrixFisher(f)
-    mode = mf_mode(p)
-    best = log_density_unnorm(p, mode)
+    mode = mf_mean_laplace(f, 1.0, 0)
+    best = log_density_unnorm(f, mode)
     grid = so3_grid_global(24)
     gains = np.einsum("ij,nij->n", f, grid.rotations)
     assert best >= gains.max()
@@ -62,11 +34,9 @@ def test_log_density_maximized_at_mode():
 
 
 def test_mode_special_cases():
-    np.testing.assert_allclose(mf_mode(MatrixFisher(np.eye(3))), np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(mf_mean_laplace(np.eye(3), 1.0, 0), np.eye(3), atol=1e-14)
     r = sample_haar(np.random.default_rng(3))
-    np.testing.assert_allclose(mf_mode(MatrixFisher(r)), r, atol=1e-12)
-    with pytest.raises(ValueError):
-        mf_mode(MatrixFisher(np.zeros((3, 3))))
+    np.testing.assert_allclose(mf_mean_laplace(r, 1.0, 0), r, atol=1e-12)
 
 
 def test_c1_c2_spot_values():
@@ -143,7 +113,7 @@ def test_mean_laplace_singular_values_below_one():
 
 def test_mean_laplace_order1_vs_quadrature_example():
     # symmetric concentration at sigma^2 = 0.04
-    exact = mf_mean_quadrature(MatrixFisher(np.eye(3) / 0.04), tol=1e-8)
+    exact = mf_mean_quadrature(np.eye(3) / 0.04, tol=1e-8)
     order1 = mf_mean_laplace(np.eye(3), 0.2, 1)
     order0 = mf_mean_laplace(np.eye(3), 0.2, 0)
     assert np.max(np.abs(order1 - exact)) < 5e-4
