@@ -134,7 +134,7 @@ def _cmd_train(args) -> int:
     )
     result = train(cfg, traj.frames)
     write_metrics_csv(result.metrics, args.out_metrics)
-    save_denoiser(result.model, args.out_model, seed=args.seed, config=cfg)
+    save_denoiser(result.model, args.out_model, config=cfg)
     last = result.metrics[-1]
     _emit(
         {

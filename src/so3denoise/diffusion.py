@@ -13,19 +13,19 @@ the update, so each block draws all its batches (three generator calls
 per step), noises them and computes their targets in one stacked pass,
 and scores the probe predictions of all its steps in one stacked pass
 when it ends.  Each step keeps only its forward/backward pass and one
-Adam update of the flat parameter vector the four parameters view.
+in-place Adam update of the model's flat parameter vector ``theta``.
 
 Every forward pass (training, ``mlp_forward`` and the sampling walk) runs
-through one MLP body, ``_mlp``.  The walk's denoiser checks the model
-once and refills one feature row per step, so a DDIM step is the MLP
-arithmetic and little else; it is bit for bit ``mlp_forward``.
+through one MLP body, ``_mlp``.  The walk's denoiser refills one feature
+row per step, so a DDIM step is the MLP arithmetic and little else; it is
+bit for bit ``mlp_forward``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -35,47 +35,64 @@ from .estimators import EstimatorKind, _write_csv, estimator_target
 from .geom import _noised, center, rotate
 from .trajectory import _rms_point_norm
 
-_PARAM_FIELDS = ("w1", "b1", "w2", "b2")
-
 # cap on the points (steps x batch x N) a training block draws and scores at once
 _BLOCK_POINTS = 4096
 
+# clouds in the fixed probe batch that ``train`` scores after every step
+_PROBE_SIZE = 16
 
-@dataclass
+
+def _param_shapes(n_points: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    """Shapes of the four parameters, in checkpoint order."""
+    return {"w1": (hidden, 3 * n_points + 2), "b1": (hidden,),
+            "w2": (3 * n_points, hidden), "b2": (3 * n_points,)}
+
+
+def _param_count(n_points: int, hidden: int) -> int:
+    return sum(math.prod(shape) for shape in _param_shapes(n_points, hidden).values())
+
+
+@dataclass(frozen=True)
 class MlpDenoiser:
     """2-layer tanh MLP acting on flattened point coordinates.
 
     Input features: coordinates scaled by the dataset reference scale
     ``s_ref``, then log(sigma), then a constant 1.  The output is
     reshaped to (N, 3) and re-centered.
+
+    ``theta`` holds every parameter in checkpoint order, and ``w1, b1, w2,
+    b2`` are views into it, fixed when the model is built: a model with a
+    rebound or wrongly sized parameter cannot exist.
     """
 
-    w1: np.ndarray  # (hidden, 3n + 2)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (3n, hidden)
-    b2: np.ndarray  # (3n,)
+    theta: np.ndarray
     hidden: int
     n_points: int
     s_ref: float
+    w1: np.ndarray = field(init=False, repr=False)  # (hidden, 3n + 2)
+    b1: np.ndarray = field(init=False, repr=False)  # (hidden,)
+    w2: np.ndarray = field(init=False, repr=False)  # (3n, hidden)
+    b2: np.ndarray = field(init=False, repr=False)  # (3n,)
+
+    def __post_init__(self):
+        count = _param_count(self.n_points, self.hidden)
+        if self.theta.shape != (count,):
+            raise ValueError(f"theta has shape {self.theta.shape}; n_points={self.n_points} and "
+                             f"hidden={self.hidden} take {count} parameters")
+        start = 0
+        for name, shape in _param_shapes(self.n_points, self.hidden).items():
+            size = math.prod(shape)
+            object.__setattr__(self, name, self.theta[start : start + size].reshape(shape))
+            start += size
 
     @classmethod
     def initialize(
         cls, n_points: int, hidden: int, s_ref: float, rng: np.random.Generator
     ) -> "MlpDenoiser":
-        d_in = 3 * n_points + 2
-        d_out = 3 * n_points
-        return cls(
-            w1=rng.standard_normal((hidden, d_in)) / np.sqrt(d_in),
-            b1=np.zeros(hidden),
-            w2=rng.standard_normal((d_out, hidden)) / np.sqrt(hidden),
-            b2=np.zeros(d_out),
-            hidden=hidden,
-            n_points=n_points,
-            s_ref=float(s_ref),
-        )
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _PARAM_FIELDS}
+        model = cls(np.zeros(_param_count(n_points, hidden)), hidden, n_points, float(s_ref))
+        model.w1[...] = rng.standard_normal(model.w1.shape) / np.sqrt(model.w1.shape[1])
+        model.w2[...] = rng.standard_normal(model.w2.shape) / np.sqrt(hidden)
+        return model
 
 
 class StepMetrics(NamedTuple):
@@ -166,28 +183,6 @@ def _mlp(m: MlpDenoiser, feats: np.ndarray, shape: tuple[int, ...]):
     return center((hidden @ m.w2.T + m.b2).reshape(shape)), hidden
 
 
-def _param_shapes(n_points: int, hidden: int) -> dict[str, tuple[int, ...]]:
-    """Shapes of the four parameters, in checkpoint order."""
-    return {"w1": (hidden, 3 * n_points + 2), "b1": (hidden,),
-            "w2": (3 * n_points, hidden), "b2": (3 * n_points,)}
-
-
-def _param_views(flat: np.ndarray, n_points: int, hidden: int) -> dict[str, np.ndarray]:
-    """The four parameters as reshaped views of one flat vector, in checkpoint order."""
-    params, start = {}, 0
-    for name, shape in _param_shapes(n_points, hidden).items():
-        size = math.prod(shape)
-        params[name] = flat[start : start + size].reshape(shape)
-        start += size
-    return params
-
-
-def _check_model(m: MlpDenoiser) -> None:
-    for name, shape in _param_shapes(m.n_points, m.hidden).items():
-        if getattr(m, name).shape != shape:
-            raise ValueError(f"parameter {name} has shape {getattr(m, name).shape}, expected {shape}")
-
-
 def mlp_forward(m: MlpDenoiser, y: np.ndarray, sigma: float) -> np.ndarray:
     """Denoised prediction for a cloud ``(n, 3)`` or a stack ``(b, n, 3)``.
 
@@ -206,12 +201,11 @@ def mlp_forward(m: MlpDenoiser, y: np.ndarray, sigma: float) -> np.ndarray:
 def _walk_denoiser(m: MlpDenoiser) -> Callable[[np.ndarray, float], np.ndarray]:
     """``mlp_forward`` on one cloud, for a ``ddim_sample`` walk.
 
-    The model is checked once, here, and every step refills one feature
-    row in place.  The matmul shapes are those of ``mlp_forward`` on an
-    ``(n, 3)`` cloud, so each step is bit for bit its prediction.  The walk
-    passes only ``(n, 3)`` clouds, which are not checked again.
+    Every step refills one feature row in place.  The matmul shapes are
+    those of ``mlp_forward`` on an ``(n, 3)`` cloud, so each step is bit for
+    bit its prediction.  The walk passes only ``(n, 3)`` clouds, which are
+    not checked.
     """
-    _check_model(m)
     d_out = 3 * m.n_points
     row = np.empty((1, d_out + 2))
     coords = row[:, :d_out]
@@ -286,11 +280,7 @@ def loss_and_grad(
     return _batch_loss_and_grad(m, ys, *_targets(ys, xs, r_aug, sigma, estimator), sigma)
 
 
-def train(
-    cfg: TrainConfig,
-    dataset: np.ndarray,
-    probe_size: int = 16,
-) -> TrainResult:
+def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
     """Adam-train an MLP denoiser against the configured estimator target.
 
     Metrics are recorded per step on a fixed probe batch drawn before
@@ -317,9 +307,8 @@ def train(
     targets in one stacked pass, and its probe predictions are scored in
     one stacked pass when it ends or diverges.  Results are bit for bit
     those of drawing, scoring and probing step by step; on divergence the
-    rest of the block's draws are made but not used.  The four parameters
-    are views into one flat vector, in checkpoint order, which one Adam
-    update per step changes in place.
+    rest of the block's draws are made but not used.  One Adam update
+    per step changes the model's ``theta`` in place.
     """
     frames = np.asarray(dataset, dtype=float)
     if frames.ndim != 3 or frames.shape[0] < 1 or frames.shape[2] != 3:
@@ -348,20 +337,20 @@ def train(
         ys, r_aug = _noised(xs, q.reshape(-1, 4), eta.reshape(xs.shape), cfg.sigma)
         return ys, xs, r_aug
 
-    probe_ys, probe_xs, probe_r = draw_batch(1, probe_size)
+    probe_ys, probe_xs, probe_r = draw_batch(1, _PROBE_SIZE)
     probe_truth = rotate(probe_r, probe_xs)
     probe_targets, probe_keep = _targets(probe_ys, probe_xs, probe_r, cfg.sigma, cfg.estimator)
 
     block_steps = max(1, _BLOCK_POINTS // (cfg.batch * n_points))
-    preds = np.empty((block_steps, probe_size, n_points, 3))  # probe predictions of a block
+    preds = np.empty((block_steps, _PROBE_SIZE, n_points, 3))  # probe predictions of a block
     pending: list[tuple[int, float, int]] = []  # (step, loss, n_excluded) rows of those
     metrics: list[StepMetrics] = []
 
     def flush() -> None:
         """Score the pending probe predictions in one stacked pass and append their rows."""
         stack = preds[: len(pending)]
-        r = np.add.reduce(rmsd(stack, np.broadcast_to(probe_truth, stack.shape)), axis=1) / probe_size
-        a = np.add.reduce(aligned_rmsd(stack, np.broadcast_to(probe_xs, stack.shape)), axis=1) / probe_size
+        r = np.add.reduce(rmsd(stack, np.broadcast_to(probe_truth, stack.shape)), axis=1) / _PROBE_SIZE
+        a = np.add.reduce(aligned_rmsd(stack, np.broadcast_to(probe_xs, stack.shape)), axis=1) / _PROBE_SIZE
         for (step, loss, n_excluded), r_j, a_j in zip(pending, r.tolist(), a.tolist()):
             metrics.append(StepMetrics(step, loss, r_j, a_j, n_excluded))
         pending.clear()
@@ -374,18 +363,13 @@ def train(
         flush()
         return TrainResult(model, metrics, "diverged", step)
 
-    if probe_keep.any():
-        diff = mlp_forward(model, probe_ys[probe_keep], cfg.sigma) - probe_targets[probe_keep]
-        probe_loss = float(np.sum(diff**2) / np.count_nonzero(probe_keep))
-    else:
-        probe_loss = float("nan")
-    probe(0, probe_loss, 0)
+    probe(0, float("nan"), 0)
+    if probe_keep.any():  # row 0's loss is over the kept rows of its probe forward
+        diff = preds[0, probe_keep] - probe_targets[probe_keep]
+        pending[0] = (0, float(np.sum(diff**2) / np.count_nonzero(probe_keep)), 0)
     flush()
 
-    # the parameters become views into one flat vector, in checkpoint order
-    theta = np.concatenate([getattr(model, name).ravel() for name in _PARAM_FIELDS])
-    for name, p in _param_views(theta, n_points, cfg.hidden).items():
-        setattr(model, name, p)
+    theta, names = model.theta, tuple(_param_shapes(n_points, cfg.hidden))  # checkpoint order
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     moment1, moment2 = np.zeros_like(theta), np.zeros_like(theta)
 
@@ -405,7 +389,7 @@ def train(
                     return diverged(step)
                 if not np.isfinite(loss):
                     return diverged(step)
-                g = np.concatenate([grads[name].ravel() for name in _PARAM_FIELDS])
+                g = np.concatenate([grads[name].ravel() for name in names])
                 moment1 = beta1 * moment1 + (1 - beta1) * g
                 moment2 = beta2 * moment2 + (1 - beta2) * g * g
                 m_hat = moment1 / (1 - beta1**step)
@@ -430,8 +414,7 @@ def ddim_sample(
     by the relative noise decrement: y <- y + (1 - s_lo/s_hi) (D(y, s_hi) - y).
     ``denoiser`` is any callable on an ``(n_points, 3)`` cloud and a noise
     level.  For a trained model, ``_walk_denoiser(model)`` is the cheap
-    one: ``mlp_forward`` bit for bit, with the model checked once per walk
-    instead of the cloud once per step.
+    one: ``mlp_forward`` bit for bit, without checking the cloud at every step.
     """
     sig = schedule.sigmas
     y = center(sig[0] * rng.standard_normal((n_points, 3)))
@@ -447,23 +430,20 @@ def write_metrics_csv(metrics: list[StepMetrics], path) -> None:
     _write_csv(path, METRICS_CSV_HEADER, metrics)
 
 
-def save_denoiser(model: MlpDenoiser, path, seed: int | None = None,
-                  config: TrainConfig | None = None) -> None:
-    """Write a checkpoint: one JSON header line, then little-endian f64 params.
+def save_denoiser(model: MlpDenoiser, path, config: TrainConfig | None = None) -> None:
+    """Write a checkpoint: one JSON header line, then ``theta`` as little-endian f64.
 
-    The parameter block is the raveled w1, b1, w2, b2 in that order.
+    The header's ``seed`` is the config's, or null without a config.
     """
     header = {
         "n_points": model.n_points,
         "hidden": model.hidden,
         "s_ref": model.s_ref,
-        "seed": seed,
+        "seed": None if config is None else config.seed,
         "config": _config_dict(config),
     }
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        for name in _PARAM_FIELDS:
-            fh.write(np.ascontiguousarray(getattr(model, name), dtype="<f8").tobytes())
+        fh.write(json.dumps(header).encode("utf-8") + b"\n" + model.theta.astype("<f8", copy=False).tobytes())
 
 
 def _config_dict(config: TrainConfig | None):
@@ -490,12 +470,11 @@ def load_denoiser(path) -> tuple[MlpDenoiser, dict]:
             what = "a positive int" if types == (int,) else "positive and finite"
             raise ValueError(f"checkpoint {path}: header {key!r} must be {what}, got {header[key]!r}")
     n, h = header["n_points"], header["hidden"]
-    count = sum(math.prod(shape) for shape in _param_shapes(n, h).values())
+    count = _param_count(n, h)
     if len(block) < 8 * count:
         raise ValueError(f"truncated checkpoint: {path}")
     if len(block) > 8 * count:
         raise ValueError(f"checkpoint {path}: parameter block of {len(block)} bytes, "
                          f"header promises {8 * count}")
-    # one copy of the block, which the four parameters view
-    params = _param_views(np.frombuffer(block, dtype="<f8").copy(), n, h)
-    return MlpDenoiser(hidden=h, n_points=n, s_ref=float(header["s_ref"]), **params), header
+    # one copy of the block is the model's theta
+    return MlpDenoiser(np.frombuffer(block, dtype="<f8").copy(), h, n, float(header["s_ref"])), header

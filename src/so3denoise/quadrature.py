@@ -161,20 +161,24 @@ def _oracle_mean(svd: ProperSvd, sigma, tol: float) -> tuple[np.ndarray, np.ndar
     u, s, vt = u.reshape(-1, 3, 3), s.reshape(-1, 3), transpose(v).reshape(-1, 3, 3)
     first, second = _level_sums(s, (0, 1))
     num, den = sums = np.array(first)  # num and den are views into sums
-    d = prev = 1.0 - num / den
-    pending = np.ones(len(s), dtype=bool)
-    for level in range(1, _MAX_HALVINGS + 1):
-        if not pending.any():
-            break
-        # every item is pending at level 1, whose sums came with level 0's
-        sums[:, pending] += second if level == 1 else _level_sums(s[pending], (level,))[0]
-        prev, d = d, d.copy()
-        d[pending] = 1.0 - num[pending] / den[pending]
-        pending &= np.max(np.abs(d - prev), axis=1) >= tol
+    # from a concentration of ~1e25 both sums underflow to 0: a NaN diagonal stops at once
+    with np.errstate(invalid="ignore"):
+        d = prev = 1.0 - num / den
+        pending = np.ones(len(s), dtype=bool)
+        for level in range(1, _MAX_HALVINGS + 1):
+            if not pending.any():
+                break
+            # every item is pending at level 1, whose sums came with level 0's
+            sums[:, pending] += second if level == 1 else _level_sums(s[pending], (level,))[0]
+            prev, d = d, d.copy()
+            d[pending] = 1.0 - num[pending] / den[pending]
+            pending &= np.max(np.abs(d - prev), axis=1) >= tol
+    pending |= ~np.isfinite(d).all(axis=1)  # and has not converged
     mean = (u * d[:, None, :]) @ vt
     if pending[0] and v.ndim == 2:
+        why = f"did not converge to tol={tol} in {_MAX_HALVINGS} halvings"
         raise NoConvergenceError(
-            f"posterior mean did not converge to tol={tol} in {_MAX_HALVINGS} halvings "
+            f"posterior mean {why if np.isfinite(d[0]).all() else 'is not finite'} "
             f"(concentration {s[0, 0]:.3g})", last=mean[0], previous=(u[0] * prev[0]) @ vt[0],
         )
     mean[pending] = np.nan
@@ -188,7 +192,8 @@ def mf_mean_quadrature(f: np.ndarray, tol: float = 1e-8) -> np.ndarray | OracleM
 
     The step halves until two successive diagonals d agree to ``tol`` per
     entry, which bounds the change in every entry of E[R]; failure to
-    converge raises :class:`NoConvergenceError` carrying the last two
+    converge, or a diagonal that is not finite (a concentration from about
+    1e25), raises :class:`NoConvergenceError` carrying the last two
     estimates.  A stack of concentrations ``(..., 3, 3)`` returns
     ``OracleMean(mean, converged)`` instead, NaN where not converged; each
     item stops at its own level, so it equals its single call exactly.

@@ -102,13 +102,13 @@ def load_trajectory(path) -> Trajectory:
     return _make_trajectory(frames, path.stem)
 
 
-def save_trajectory(traj: Trajectory, path, label: str = "P") -> None:
-    """Write frames in the XYZ format with full float64 round-trip precision."""
+def save_trajectory(traj: Trajectory, path) -> None:
+    """Write frames as XYZ, every point labelled ``P``, at full float64 round-trip precision."""
     with open(path, "w", newline="\n") as fh:
         for idx in range(traj.n_frames):
             fh.write(f"{traj.n_points}\n{traj.name} frame {idx}\n")
             for p in traj.frames[idx]:
-                fh.write(f"{label} {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+                fh.write(f"P {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
 
 
 def synth_trajectory(n_points: int, n_frames: int, jitter: float, seed: int) -> Trajectory:

@@ -359,6 +359,15 @@ def test_moment_prints_valid_json_at_any_accepted_sigma(capsys, tmp_path, traj_p
         assert message in captured.err and captured.out == ""
 
 
+def test_moment_oracle_with_non_finite_mean_exits_1(capsys, traj_path):
+    # at sigma 1e-150 the concentration (~1e300) is finite, but its Bessel sums
+    # underflow: the oracle fails instead of printing NaN tokens, which are not JSON
+    code = main(["moment", "--input", traj_path, "--sigma", "1e-150"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "error: posterior mean is not finite" in captured.err
+
+
 def _main_result(capsys, argv):
     """Exit code, stdout and stderr of one ``main`` call; usage errors exit via SystemExit."""
     try:

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -267,10 +268,10 @@ def test_checkpoint_round_trip(tmp_path, traj):
     model = MlpDenoiser.initialize(8, 16, traj.scale, rng)
     cfg = TrainConfig(sigma=0.5, estimator=EstimatorKind.ORDER2, steps=10, seed=4)
     path = tmp_path / "model.bin"
-    save_denoiser(model, path, seed=4, config=cfg)
+    save_denoiser(model, path, config=cfg)
     loaded, header = load_denoiser(path)
     assert header["n_points"] == 8 and header["hidden"] == 16
-    assert header["seed"] == 4
+    assert header["seed"] == 4  # the config's
     assert header["config"]["estimator"] == "order2"
     for name in ("w1", "b1", "w2", "b2"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
@@ -281,7 +282,8 @@ def test_loaded_parameters_are_writable_and_own_their_data(tmp_path, traj):
     model = MlpDenoiser.initialize(8, 16, traj.scale, np.random.default_rng(14))
     path = tmp_path / "model.bin"
     save_denoiser(model, path)
-    loaded, _ = load_denoiser(path)
+    loaded, header = load_denoiser(path)
+    assert header["seed"] is None and header["config"] is None
     again, _ = load_denoiser(path)
     path.write_bytes(b"")  # the loaded parameters do not read the file again
     for name in ("w1", "b1", "w2", "b2"):
@@ -373,8 +375,9 @@ def _reference_train(cfg, frames, probe_size=16, tol=1e-8):
         loss0 = float(np.sum((preds - np.stack(probe_targets)) ** 2) / len(probe_targets))
     metrics = [StepMetrics(0, loss0, *probe_metrics(), 0)]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    moment1 = {k: np.zeros_like(v) for k, v in model.params().items()}
-    moment2 = {k: np.zeros_like(v) for k, v in model.params().items()}
+    params = {name: getattr(model, name) for name in ("w1", "b1", "w2", "b2")}
+    moment1 = {k: np.zeros_like(v) for k, v in params.items()}
+    moment2 = {k: np.zeros_like(v) for k, v in params.items()}
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, cfg.steps + 1):
             batch = draw_batch(cfg.batch)
@@ -400,8 +403,9 @@ def _reference_train(cfg, frames, probe_size=16, tol=1e-8):
                 moment2[name] = beta2 * moment2[name] + (1 - beta2) * g * g
                 m_hat = moment1[name] / (1 - beta1**step)
                 v_hat = moment2[name] / (1 - beta2**step)
-                setattr(model, name, getattr(model, name) - cfg.lr * m_hat / (np.sqrt(v_hat) + eps))
-            if not all(np.all(np.isfinite(p)) for p in model.params().values()):
+                p = params[name]
+                p[...] = p - cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
+            if not all(np.all(np.isfinite(p)) for p in params.values()):
                 return TrainResult(model, metrics, "diverged", step)
             metrics.append(StepMetrics(step, loss, *probe_metrics(), len(batch) - b))
     return TrainResult(model, metrics, "completed", None)
@@ -414,7 +418,7 @@ def _use_blocks_of(monkeypatch, steps, cfg, frames):
 
 def _same_checkpoint(tmp_path, cfg, got, want):
     for result, name in ((got, "got.bin"), (want, "want.bin")):
-        save_denoiser(result.model, tmp_path / name, seed=cfg.seed, config=cfg)
+        save_denoiser(result.model, tmp_path / name, config=cfg)
     return (tmp_path / "got.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
 
 
@@ -529,10 +533,11 @@ def test_sample_walk_is_bit_for_bit_the_mlp_forward_walk(n_points, hidden, train
     if trained_steps:
         cfg = TrainConfig(sigma=0.5, estimator=EstimatorKind.ORDER0, steps=trained_steps, batch=4,
                           lr=0.05, seed=seed % 1000, hidden=hidden)
-        m = train(cfg, data.frames, probe_size=2).model
+        m = train(cfg, data.frames).model
     else:
         m = MlpDenoiser.initialize(n_points, hidden, data.scale, rng)
-        m.b1, m.b2 = rng.standard_normal(hidden), rng.standard_normal(3 * n_points)
+        m.b1[:] = rng.standard_normal(hidden)
+        m.b2[:] = rng.standard_normal(3 * n_points)
     schedule = DdimSchedule((*sorted(levels, reverse=True), 0.0))
     walked = ddim_sample(diffusion._walk_denoiser(m), schedule, n_points, np.random.default_rng(seed))
     reference = _reference_walk(lambda y, s: mlp_forward(m, y, s), schedule, n_points,
@@ -540,8 +545,37 @@ def test_sample_walk_is_bit_for_bit_the_mlp_forward_walk(n_points, hidden, train
     assert np.array_equal(walked, reference)
 
 
-def test_walk_denoiser_rejects_a_malformed_model(traj):
+def test_model_rejects_a_wrong_size_theta(traj):
+    # n_points 8 and hidden 4 take 4 * 26 + 4 + 24 * 4 + 24 = 228 parameters
+    for size in (227, 229):
+        with pytest.raises(ValueError, match=rf"theta has shape \({size},\); n_points=8 and hidden=4 take 228"):
+            MlpDenoiser(np.zeros(size), 4, 8, traj.scale)
+    with pytest.raises(ValueError, match="take 228"):
+        MlpDenoiser(np.zeros((12, 19)), 4, 8, traj.scale)
+
+
+def test_model_parameters_cannot_be_rebound(traj):
     m = MlpDenoiser.initialize(8, 4, traj.scale, np.random.default_rng(16))
-    m.w2 = m.w2[:, :3]
-    with pytest.raises(ValueError, match="parameter w2 has shape"):
-        diffusion._walk_denoiser(m)
+    with pytest.raises(FrozenInstanceError):
+        m.w2 = m.w2[:, :3]
+    with pytest.raises(FrozenInstanceError):
+        m.b1 = np.zeros(1)
+    assert m.w2.shape == (24, 4) and m.b1.shape == (4,)
+
+
+def test_parameters_view_theta_and_checkpoint_is_its_bytes(tmp_path, traj):
+    m = MlpDenoiser.initialize(8, 4, traj.scale, np.random.default_rng(17))
+    shapes = {"w1": (4, 26), "b1": (4,), "w2": (24, 4), "b2": (24,)}
+    start = 0
+    for name, shape in shapes.items():  # checkpoint order
+        p = getattr(m, name)
+        assert p.shape == shape and np.shares_memory(p, m.theta)
+        np.testing.assert_array_equal(p.ravel(), m.theta[start : start + p.size])
+        start += p.size
+    assert start == m.theta.size
+    path = tmp_path / "model.bin"
+    save_denoiser(m, path)
+    assert path.read_bytes().partition(b"\n")[2] == m.theta.astype("<f8").tobytes()
+    loaded, _ = load_denoiser(path)
+    assert loaded.theta.tobytes() == m.theta.tobytes()
+    assert all(np.shares_memory(getattr(loaded, name), loaded.theta) for name in shapes)

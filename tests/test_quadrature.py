@@ -119,6 +119,25 @@ def test_mean_quadrature_finite_for_huge_concentration():
     np.testing.assert_allclose(np.diag(m), np.ones(3), atol=1e-5)
 
 
+@pytest.mark.parametrize("scale", [1e20, 1e24])
+def test_mean_quadrature_far_above_the_bessel_range_is_the_identity(scale):
+    mean, converged = mf_mean_quadrature(np.stack([np.diag([1.0, 0.8, 0.5]) * scale]))
+    assert converged.tolist() == [True]
+    assert np.array_equal(mean[0], np.eye(3))
+
+
+def test_mean_quadrature_non_finite_diagonal_is_not_converged():
+    # from a concentration of about 1e25 both Bessel sums underflow to 0, so the
+    # diagonal is 0/0: a stack flags the item, a single call raises, numpy warns of
+    # nothing (a RuntimeWarning fails the test)
+    huge = np.diag([1e30, 8e29, 5e29])
+    mean, converged = mf_mean_quadrature(np.stack([huge, np.diag([3.0, 2.0, 1.0]), huge * 1e-4]))
+    assert converged.tolist() == [False, True, False]
+    assert np.all(np.isnan(mean[[0, 2]])) and np.all(np.isfinite(mean[1]))
+    with pytest.raises(NoConvergenceError, match=r"posterior mean is not finite \(concentration 1e\+30\)"):
+        mf_mean_quadrature(huge)
+
+
 def test_mean_quadrature_no_convergence_carries_estimates(monkeypatch):
     # a needle-like posterior that one halving of the start step cannot resolve to 1e-12
     monkeypatch.setattr(quad, "_MAX_HALVINGS", 1)
