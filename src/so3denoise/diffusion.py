@@ -440,18 +440,10 @@ def save_denoiser(model: MlpDenoiser, path, config: TrainConfig | None = None) -
         "hidden": model.hidden,
         "s_ref": model.s_ref,
         "seed": None if config is None else config.seed,
-        "config": _config_dict(config),
+        "config": None if config is None else asdict(config),  # json writes the str enum as its value
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n" + model.theta.astype("<f8", copy=False).tobytes())
-
-
-def _config_dict(config: TrainConfig | None):
-    if config is None:
-        return None
-    d = asdict(config)
-    d["estimator"] = config.estimator.value
-    return d
 
 
 def load_denoiser(path) -> tuple[MlpDenoiser, dict]:

@@ -54,21 +54,6 @@ def _pairwise_sums(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, (d <= 1e-9 * s[..., :1]).any(axis=-1)
 
 
-def _safe_sums(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise sums, set to ones for singular spectra, and the singular mask.
-
-    A single spectrum that is singular raises ``ExpansionSingularError``.
-    """
-    d, singular = _pairwise_sums(s)
-    if d.ndim > 1:
-        return np.where(singular[..., None], 1.0, d), singular
-    if singular:
-        raise ExpansionSingularError(
-            f"pairwise singular-value sums {d} too small relative to s1={s[0]}"
-        )
-    return d, singular
-
-
 _POW = np.frompyfunc(math.pow, 2, 1)
 
 
@@ -84,23 +69,28 @@ def _power(d: float | np.ndarray, p: float) -> np.ndarray:
         raise ValueError(f"{np.max(np.abs(d)):g}**{p:g} overflows a float") from None
 
 
-def _diagonal(d: np.ndarray, singular: np.ndarray, scale: float) -> np.ndarray:
-    """Entry i is ``scale * (d_j + d_k)`` over the two sums containing s_i.
+def _coefficients(s: np.ndarray, order: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """``[c1]``, or ``[c1, c2]`` at ``order`` 2, of spectra ``(..., 3)``, and the
+    singular mask.
 
-    Rows of singular spectra are NaN.
+    Entry i of c1 is -1/2 (1/d_j + 1/d_k), and of c2 -1/8 (1/d_j**2 + 1/d_k**2),
+    over the two pairwise sums d_j, d_k that contain s_i.  A single singular
+    spectrum raises ``ExpansionSingularError``; in a stack, its row is NaN.
     """
-    out = scale * (d.take(_PAIRS[1], axis=-1) + d.take(_PAIRS[0], axis=-1))
-    if out.ndim > 1:
-        out[singular] = np.nan
-    return out
-
-
-def _c1(d: np.ndarray, singular: np.ndarray) -> np.ndarray:
-    return _diagonal(1.0 / d, singular, -0.5)
-
-
-def _c2(d: np.ndarray, singular: np.ndarray) -> np.ndarray:
-    return _diagonal(1.0 / _power(d, 2.0), singular, -0.125)
+    d, singular = _pairwise_sums(s)
+    if d.ndim == 1 and singular:
+        raise ExpansionSingularError(
+            f"pairwise singular-value sums {d} too small relative to s1={s[0]}"
+        )
+    d[singular] = 1.0  # no division by a zero sum; these rows end NaN
+    inverses = [(-0.5, 1.0 / d)]
+    if order == 2:
+        inverses.append((-0.125, 1.0 / _power(d, 2.0)))
+    coefficients = [scale * (inv.take(_PAIRS[1], axis=-1) + inv.take(_PAIRS[0], axis=-1))
+                    for scale, inv in inverses]
+    for c in coefficients:
+        c[singular] = np.nan
+    return coefficients, singular
 
 
 def c1(s: np.ndarray) -> np.ndarray:
@@ -111,7 +101,7 @@ def c1(s: np.ndarray) -> np.ndarray:
     raises ``ExpansionSingularError``, and in a stack ``(..., 3)`` the
     rows of singular spectra (a pairwise sum at most 1e-9 s1) are NaN.
     """
-    return _c1(*_safe_sums(s))
+    return _coefficients(s, 1)[0][0]
 
 
 def c2(s: np.ndarray) -> np.ndarray:
@@ -119,7 +109,7 @@ def c2(s: np.ndarray) -> np.ndarray:
 
     Singular spectra are handled as in ``c1``.
     """
-    return _c2(*_safe_sums(s))
+    return _coefficients(s, 2)[0][1]
 
 
 class LaplaceMean(NamedTuple):
@@ -140,11 +130,10 @@ def _expansion(svd: ProperSvd, sigma, order: int) -> tuple[np.ndarray, np.ndarra
     u, s, v = svd
     d = np.ones(s.shape)
     singular = np.zeros(s.shape[:-1], dtype=bool)
-    if order >= 1:
-        sums, singular = _safe_sums(s)
-        d = d + _power(sigma, 2.0)[..., None] * _c1(sums, singular)
-    if order >= 2:
-        d = d + _power(sigma, 4.0)[..., None] * _c2(sums, singular)
+    if order:
+        coefficients, singular = _coefficients(s, order)
+        for p, c in zip((2.0, 4.0), coefficients):
+            d = d + _power(sigma, p)[..., None] * c
     return (u * d[..., None, :]) @ transpose(v), singular
 
 

@@ -55,12 +55,7 @@ _OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
 
 
 class NoConvergenceError(RuntimeError):
-    """Refinement hit the halving cap short of the tolerance; carries the last two estimates."""
-
-    def __init__(self, message: str, last: np.ndarray, previous: np.ndarray):
-        super().__init__(message)
-        self.last = last
-        self.previous = previous
+    """Refinement hit the halving cap short of the tolerance, or the mean is not finite."""
 
 
 @dataclass(frozen=True)
@@ -176,11 +171,11 @@ def _oracle_mean(svd: ProperSvd, sigma, tol: float) -> tuple[np.ndarray, np.ndar
     pending |= ~np.isfinite(d).all(axis=1)  # and has not converged
     mean = (u * d[:, None, :]) @ vt
     if pending[0] and v.ndim == 2:
-        why = f"did not converge to tol={tol} in {_MAX_HALVINGS} halvings"
-        raise NoConvergenceError(
-            f"posterior mean {why if np.isfinite(d[0]).all() else 'is not finite'} "
-            f"(concentration {s[0, 0]:.3g})", last=mean[0], previous=(u[0] * prev[0]) @ vt[0],
-        )
+        why = "is not finite"
+        if np.isfinite(d[0]).all():
+            why = (f"did not converge to tol={tol} in {_MAX_HALVINGS} halvings, "
+                   f"last max|d - prev| = {np.max(np.abs(d[0] - prev[0])):.3g}")
+        raise NoConvergenceError(f"posterior mean {why} (concentration {s[0, 0]:.3g})")
     mean[pending] = np.nan
     return mean.reshape(v.shape), pending.reshape(v.shape[:-2])
 
@@ -193,8 +188,8 @@ def mf_mean_quadrature(f: np.ndarray, tol: float = 1e-8) -> np.ndarray | OracleM
     The step halves until two successive diagonals d agree to ``tol`` per
     entry, which bounds the change in every entry of E[R]; failure to
     converge, or a diagonal that is not finite (a concentration from about
-    1e25), raises :class:`NoConvergenceError` carrying the last two
-    estimates.  A stack of concentrations ``(..., 3, 3)`` returns
+    1e25), raises :class:`NoConvergenceError`, which states the last change
+    of d.  A stack of concentrations ``(..., 3, 3)`` returns
     ``OracleMean(mean, converged)`` instead, NaN where not converged; each
     item stops at its own level, so it equals its single call exactly.
     """

@@ -316,6 +316,24 @@ def test_non_finite_parameters_exit_1(capsys, tmp_path, traj_path, command, valu
 
 
 @pytest.mark.parametrize(
+    "argv, frame",
+    [
+        (["align", "{traj}", "--frame-a", "0", "--frame-b", "6"], 6),
+        (["align", "{traj}", "--frame-a", "-1", "--frame-b", "0"], -1),
+        (["moment", "--input", "{traj}", "--frame", "9", "--sigma", "0.1"], 9),
+        (["sweep", "--input", "{traj}", "--frame", "-1", "--sigmas", "0.1", "--n-noise", "1", "--seed", "0",
+          "--out", "{out}"], -1),
+    ],
+)
+def test_frame_out_of_range_exits_1(capsys, tmp_path, traj_path, argv, frame):
+    out = tmp_path / "w.csv"
+    assert main([a.format(traj=traj_path, out=out) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert f"error: frame {frame} out of range (trajectory has 6)" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "values, message",
     [
         (["--sigma", "1e80", "--order", "2"], "1e+80**4 overflows a float"),
@@ -430,6 +448,12 @@ def test_parser_accepts_every_argv_the_bench_passes(tmp_path):
     parsed = {command: cli._parser().parse_args(argv) for command, argv in argvs.items()}
     assert all(args.command == command for command, args in parsed.items())
     assert "--tol" in argvs["sweep"] and parsed["sweep"].tol == wl.SWEEP_TOL
+
+
+def test_bench_reference_sweep_matches_its_recorded_csv(tmp_path):
+    # the bench refuses a run whose reference sweep leaves bench/reference/sweep.csv
+    # by more than its per-record tolerance; check the same thing here
+    assert _bench_workloads().Sweep(1, tmp_path).check_reference() == []
 
 
 def test_selftest_fast_passes(capsys):

@@ -227,6 +227,41 @@ def test_train_config_rejects_non_finite(field, value):
         TrainConfig(**{"sigma": 0.5, "estimator": "order0", "steps": 1, field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("sigma", 0.0, "sigma, lr, batch and hidden must be positive"),
+        ("sigma", -0.5, "sigma, lr, batch and hidden must be positive"),
+        ("lr", 0.0, "sigma, lr, batch and hidden must be positive"),
+        ("batch", 0, "sigma, lr, batch and hidden must be positive"),
+        ("hidden", 0, "sigma, lr, batch and hidden must be positive"),
+        ("steps", -1, "steps must be non-negative"),
+        ("dataset_mode", "every-frame", "unknown dataset_mode 'every-frame'"),
+    ],
+)
+def test_train_config_rejects_out_of_range_values(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{"sigma": 0.5, "estimator": "order0", "steps": 1, field: value})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda x: noise_sample(x, -0.1, np.random.default_rng(0)), "sigma must be non-negative"),
+        (lambda x: loss_and_grad(MlpDenoiser.initialize(8, 4, 1.0, np.random.default_rng(0)), [], 0.5,
+                                 EstimatorKind.AUG), "batch must be nonempty"),
+        (lambda x: train(TrainConfig(0.5, "aug", 1), x), "dataset must be a nonempty"),
+        (lambda x: train(TrainConfig(0.5, "aug", 1), x[None, :, :2]), "dataset must be a nonempty"),
+        (lambda x: train(TrainConfig(0.5, "aug", 1), np.empty((0, *x.shape))), "dataset must be a nonempty"),
+    ],
+    ids=["noise_sample-negative-sigma", "loss_and_grad-empty-batch", "train-one-unstacked-frame",
+         "train-two-coordinates", "train-no-frames"],
+)
+def test_invalid_input_raises(traj, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(traj.frames[0])
+
+
 def test_ddim_one_step_equivariance_with_oracle(traj):
     rng = np.random.default_rng(11)
     x_ref = traj.frames[0]

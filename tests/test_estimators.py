@@ -256,11 +256,23 @@ def test_sweep_order0_mse_slope(cloud):
     assert isinstance(anomalies, list)
 
 
+def test_sweep_aug_anomalies_flags_levels_where_aug_beats_alignment():
+    mse = {0.1: {EstimatorKind.AUG: 1.0, EstimatorKind.ORDER0: 0.5, EstimatorKind.ORDER2: 0.1},
+           0.3: {EstimatorKind.AUG: 0.2, EstimatorKind.ORDER0: 0.4},
+           0.5: {EstimatorKind.AUG: 0.2},  # no ORDER0 record to compare with
+           1.0: {EstimatorKind.ORDER0: 0.3, EstimatorKind.AUG: 0.25}}
+    records = [estimators.SweepRecord(s, kind, m, 0.0, 4, 0, 0)
+               for s, by_kind in mse.items() for kind, m in by_kind.items()]
+    assert sweep_aug_anomalies(records) == [0.3, 1.0]
+
+
 def test_sweep_argument_validation(cloud):
     with pytest.raises(ValueError):
         error_sweep(cloud, [0.2, 0.1], n_noise=2, seed=0)
     with pytest.raises(ValueError):
         error_sweep(cloud, [0.1], n_noise=0, seed=0)
+    with pytest.raises(ValueError, match="sigmas must be nonempty"):
+        error_sweep(cloud, [], n_noise=2, seed=0)
     with pytest.raises(ValueError):
         error_sweep(cloud, [-0.1, 0.2], n_noise=2, seed=0)
     for bad in (np.nan, np.inf):
@@ -314,6 +326,8 @@ def test_averaging_offset_lemma(cloud):
     spread = averaging_offset_check(y, cloud, 0.2, probes, tol=tol)
     assert spread < 4 * tol * frobenius_norm_sq(cloud)
     assert averaging_offset_check(y, cloud, 0.2, [cloud], tol=tol) == 0.0
+    with pytest.raises(ValueError, match="need at least one probe"):
+        averaging_offset_check(y, cloud, 0.2, [], tol=tol)
 
 
 def test_averaging_offset_delta_nonnegative(cloud):

@@ -64,6 +64,12 @@ def test_expansion_singular_raised():
         c2(np.array([0.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("shape", [(2,), (3, 2), ()])
+def test_c1_rejects_a_shape_that_is_not_a_spectrum(shape):
+    with pytest.raises(ValueError, match=r"expected a singular spectrum \(s1, s2, s3\)"):
+        c1(np.ones(shape))
+
+
 def test_mean_laplace_symmetric_case():
     out = mf_mean_laplace(np.eye(3), 0.1, 2)
     np.testing.assert_allclose(out, np.eye(3) * 0.99499375, rtol=1e-12)

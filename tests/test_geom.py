@@ -132,6 +132,12 @@ def test_proper_svd_random_reconstruction():
         assert rel < 1e-10
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 4), (4, 3, 2)])
+def test_proper_svd_rejects_a_shape_that_is_not_3x3(shape):
+    with pytest.raises(ValueError, match=rf"expected a 3x3 matrix, got shape \({shape[0]},"):
+        proper_svd(np.ones(shape))
+
+
 def test_proper_svd_rejects_nonfinite():
     bad = np.eye(3)
     bad[0, 0] = np.nan

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,31 @@ def test_non_finite_coordinate_reports_line_number(tmp_path, value):
     path.write_text(f"2\nt\nA 1 0 0\nA -1 0 0\n2\nt\nA 1 0 0\nA 0 {value} 0\n")
     with pytest.raises(TrajectoryFormatError, match="bad.xyz:8: non-finite"):
         load_trajectory(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2.5\nt\nA 1 0 0\nA -1 0 0\n", "bad.xyz:1: expected a point count, got '2.5'"),
+        ("2\nt\nA 1 0 0\nA -1 0 0\nP\nt\n", "bad.xyz:5: expected a point count, got 'P'"),
+        ("0\nt\n", "bad.xyz:1: point count must be >= 1"),
+        ("-2\nt\nA 1 0 0\nA -1 0 0\n", "bad.xyz:1: point count must be >= 1"),
+        ("2\nt\nA 1 0\nA -1 0 0\n", "bad.xyz:3: expected 'LABEL x y z', got 'A 1 0'"),
+    ],
+)
+def test_malformed_count_or_row_reports_line_number(tmp_path, text, message):
+    path = tmp_path / "bad.xyz"
+    path.write_text(text)
+    with pytest.raises(TrajectoryFormatError, match=re.escape(message)):
+        load_trajectory(path)
+
+
+def test_blank_lines_between_frames_are_skipped(tmp_path):
+    path = tmp_path / "gaps.xyz"
+    path.write_text("\n2\nt\nA 1 0 0\nA -1 0 0\n\n  \n2\nt\nA 0 1 0\nA 0 -1 0\n\n")
+    traj = load_trajectory(path)
+    assert traj.n_frames == 2
+    np.testing.assert_array_equal(traj.frames[1], [[0, 1, 0], [0, -1, 0]])
 
 
 def test_format_errors_reported_in_file_order(tmp_path):
