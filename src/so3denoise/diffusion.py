@@ -16,15 +16,19 @@ when it ends.  Each step keeps only its forward/backward pass and one
 in-place Adam update of the model's flat parameter vector ``theta``.
 
 Every forward pass (training, ``mlp_forward`` and the sampling walk) runs
-through one MLP body, ``_mlp``.  The walk's denoiser refills one feature
-row per step, so a DDIM step is the MLP arithmetic and little else; it is
-bit for bit ``mlp_forward``.
+through one MLP body, ``_mlp``, which writes into buffers its caller owns.
+Training and ``mlp_forward`` make their buffers per call.  The walk's
+denoiser makes its feature row, hidden activations and prediction once and
+refills the row per step, and ``ddim_sample`` updates its sample in place
+through one step buffer, so a DDIM step allocates no array; it is bit for
+bit ``mlp_forward`` and the out-of-place update.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
@@ -115,6 +119,12 @@ class TrainConfig:
     hidden: int = 64
 
     def __post_init__(self):
+        for name in ("steps", "batch", "hidden"):  # numpy ints and bools become plain ints
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if not (np.isfinite(self.sigma) and np.isfinite(self.lr)):
             raise ValueError(f"sigma and lr must be finite, got {self.sigma} and {self.lr}")
         if self.sigma <= 0 or self.lr <= 0 or self.batch < 1 or self.hidden < 1:
@@ -159,8 +169,8 @@ def noise_sample(
     Returns (y, r_aug).  Re-centering is required because the noise
     breaks the zero-centroid constraint the posterior formulas assume.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    if not 0 <= sigma < math.inf:  # False for NaN too
+        raise ValueError(f"sigma must be non-negative and finite, got {sigma}")
     x = np.asarray(x, dtype=float)
     q = rng.standard_normal(4)
     return _noised(x, q, None if sigma == 0 else rng.standard_normal(x.shape), sigma)
@@ -176,11 +186,36 @@ def _features(m: MlpDenoiser, ys: np.ndarray, sigma: float) -> np.ndarray:
     return feats
 
 
-def _mlp(m: MlpDenoiser, feats: np.ndarray, shape: tuple[int, ...]):
-    """The MLP on feature rows: the re-centered prediction of shape ``shape``
-    and the hidden activations.  Every forward pass runs through here."""
-    hidden = np.tanh(feats @ m.w1.T + m.b1)
-    return center((hidden @ m.w2.T + m.b2).reshape(shape)), hidden
+def _mlp(
+    m: MlpDenoiser, feats: np.ndarray, hidden: np.ndarray, pred: np.ndarray
+) -> Callable[[], np.ndarray]:
+    """The MLP bound to caller-owned buffers; every forward pass runs through here.
+
+    ``feats`` holds feature rows ``(..., 3n + 2)``, ``hidden`` gets the
+    activations ``(..., hidden)`` and ``pred`` the re-centered prediction
+    ``(..., n, 3)``; ``pred`` is C-contiguous, so that its flat rows
+    ``(..., 3n)`` are a view of it.  The returned call reads ``feats`` as
+    it is then, writes ``hidden`` and ``pred`` in place with ``out=`` and
+    returns ``pred``.  It allocates nothing; the centroid buffer and the
+    transposed weight views are made once, here.
+    """
+    w1t, b1, w2t, b2 = m.w1.T, m.b1, m.w2.T, m.b2
+    flat = pred.reshape(pred.shape[:-2] + (-1,))
+    centroid = np.empty(pred.shape[:-2] + (1, 3))
+    n = pred.shape[-2]
+
+    def forward() -> np.ndarray:
+        np.matmul(feats, w1t, out=hidden)
+        np.add(hidden, b1, out=hidden)
+        np.tanh(hidden, out=hidden)
+        np.matmul(hidden, w2t, out=flat)
+        np.add(flat, b2, out=flat)
+        # ``geom.center``'s sum and division, in place
+        np.add.reduce(pred, axis=-2, keepdims=True, out=centroid)
+        np.divide(centroid, n, out=centroid)
+        return np.subtract(pred, centroid, out=pred)
+
+    return forward
 
 
 def mlp_forward(m: MlpDenoiser, y: np.ndarray, sigma: float) -> np.ndarray:
@@ -194,28 +229,33 @@ def mlp_forward(m: MlpDenoiser, y: np.ndarray, sigma: float) -> np.ndarray:
     if y.ndim not in (2, 3) or y.shape[-2:] != (m.n_points, 3):
         raise ValueError(f"expected shape {(m.n_points, 3)} or a stack of it, got {y.shape}")
     ys = y[..., None, :, :]
-    out, _ = _mlp(m, _features(m, ys, sigma), ys.shape)
+    feats = _features(m, ys, sigma)
+    out = _mlp(m, feats, np.empty(feats.shape[:-1] + (m.hidden,)), np.empty(ys.shape))()
     return out[..., 0, :, :]
 
 
 def _walk_denoiser(m: MlpDenoiser) -> Callable[[np.ndarray, float], np.ndarray]:
     """``mlp_forward`` on one cloud, for a ``ddim_sample`` walk.
 
-    Every step refills one feature row in place.  The matmul shapes are
-    those of ``mlp_forward`` on an ``(n, 3)`` cloud, so each step is bit for
-    bit its prediction.  The walk passes only ``(n, 3)`` clouds, which are
-    not checked.
+    The feature row, the hidden activations and the prediction are buffers
+    made once, here, and ``_mlp`` is bound to them once.  Every step refills
+    the row's coordinates and log(sigma) in place and runs the bound
+    forward, which allocates nothing; its result is the prediction buffer,
+    overwritten by the next step.  The row is 1-D ``(3n + 2,)``, which gives
+    the bits of ``mlp_forward``'s ``(1, 3n + 2)`` row with fewer broadcasts.
+    The walk passes only ``(n, 3)`` clouds, which are not checked.
     """
-    d_out = 3 * m.n_points
-    row = np.empty((1, d_out + 2))
-    coords = row[:, :d_out]
-    row[0, -1] = 1.0
-    shape = (1, m.n_points, 3)
+    d_out, s_ref = 3 * m.n_points, m.s_ref
+    row = np.empty(d_out + 2)
+    coords = row[:d_out].reshape(m.n_points, 3)
+    log_sigma = row[-2:-1]
+    row[-1] = 1.0
+    forward = _mlp(m, row, np.empty(m.hidden), np.empty((m.n_points, 3)))
 
     def denoise(y: np.ndarray, sigma: float) -> np.ndarray:
-        np.divide(y.reshape(1, d_out), m.s_ref, out=coords)
-        row[0, -2] = np.log(sigma)
-        return _mlp(m, row, shape)[0][0]
+        np.divide(y, s_ref, out=coords)
+        np.log(sigma, out=log_sigma)
+        return forward()
 
     return denoise
 
@@ -244,7 +284,8 @@ def _batch_loss_and_grad(
 
     # one (b, 3n + 2) feature matrix: the training forward is a single GEMM
     feats = _features(m, ys, sigma)
-    out, hidden = _mlp(m, feats, ys.shape)
+    hidden = np.empty((b, m.hidden))
+    out = _mlp(m, feats, hidden, np.empty(ys.shape))()
     diff = out - targets
     loss = float(np.sum(diff * diff) / b)
 
@@ -415,11 +456,20 @@ def ddim_sample(
     ``denoiser`` is any callable on an ``(n_points, 3)`` cloud and a noise
     level.  For a trained model, ``_walk_denoiser(model)`` is the cheap
     one: ``mlp_forward`` bit for bit, without checking the cloud at every step.
+
+    The walk updates ``y`` in place through one step buffer, with the IEEE
+    operations of the formula above.  The denoiser's result is used up
+    before its next call, so a denoiser may return a buffer it overwrites
+    on every call (``_walk_denoiser`` does); it must not keep ``y``, which
+    the walk overwrites.
     """
     sig = schedule.sigmas
     y = center(sig[0] * rng.standard_normal((n_points, 3)))
+    step = np.empty_like(y)
     for s_hi, s_lo in zip(sig, sig[1:]):
-        y = y + (1.0 - s_lo / s_hi) * (denoiser(y, s_hi) - y)
+        np.subtract(denoiser(y, s_hi), y, out=step)
+        np.multiply(step, 1.0 - s_lo / s_hi, out=step)
+        np.add(y, step, out=y)
     return y
 
 

@@ -456,6 +456,16 @@ def test_bench_reference_sweep_matches_its_recorded_csv(tmp_path):
     assert _bench_workloads().Sweep(1, tmp_path).check_reference() == []
 
 
+def test_bench_sample_workload_passes_its_own_checks(tmp_path):
+    # set-up trains the bench checkpoint and runs sample call 0; one more call with
+    # call 0's seed must write the same bytes, as a finite, centered cloud
+    wl = _bench_workloads()
+    sample = wl.Sample(1, tmp_path)
+    assert sample.setup() == []
+    rc, stdout, _ = wl.run_cli(sample.argv(0, "t"))
+    assert sample.check(0, "t", rc, stdout).problems == []
+
+
 def test_selftest_fast_passes(capsys):
     assert main(["selftest", "--fast"]) == 0
     out = capsys.readouterr().out

@@ -237,24 +237,39 @@ def test_train_config_rejects_non_finite(field, value):
         ("hidden", 0, "sigma, lr, batch and hidden must be positive"),
         ("steps", -1, "steps must be non-negative"),
         ("dataset_mode", "every-frame", "unknown dataset_mode 'every-frame'"),
+        ("batch", 2.5, "batch must be an integer, got 2.5"),
+        ("hidden", 3.5, "hidden must be an integer, got 3.5"),
+        ("steps", 2.5, "steps must be an integer, got 2.5"),
     ],
 )
 def test_train_config_rejects_out_of_range_values(field, value, message):
-    with pytest.raises(ValueError, match=message):
+    error = TypeError if "must be an integer" in message else ValueError
+    with pytest.raises(error, match=message):
         TrainConfig(**{"sigma": 0.5, "estimator": "order0", "steps": 1, field: value})
+
+
+def test_train_config_makes_counts_plain_ints():
+    cfg = TrainConfig(0.5, "order0", np.int64(3), batch=True, hidden=np.uint8(5))
+    assert (cfg.steps, cfg.batch, cfg.hidden) == (3, 1, 5)
+    assert all(type(v) is int for v in (cfg.steps, cfg.batch, cfg.hidden))
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda x: noise_sample(x, -0.1, np.random.default_rng(0)), "sigma must be non-negative"),
+        (lambda x: noise_sample(x, float("nan"), np.random.default_rng(0)),
+         "sigma must be non-negative and finite, got nan"),
+        (lambda x: noise_sample(x, float("inf"), np.random.default_rng(0)),
+         "sigma must be non-negative and finite, got inf"),
         (lambda x: loss_and_grad(MlpDenoiser.initialize(8, 4, 1.0, np.random.default_rng(0)), [], 0.5,
                                  EstimatorKind.AUG), "batch must be nonempty"),
         (lambda x: train(TrainConfig(0.5, "aug", 1), x), "dataset must be a nonempty"),
         (lambda x: train(TrainConfig(0.5, "aug", 1), x[None, :, :2]), "dataset must be a nonempty"),
         (lambda x: train(TrainConfig(0.5, "aug", 1), np.empty((0, *x.shape))), "dataset must be a nonempty"),
     ],
-    ids=["noise_sample-negative-sigma", "loss_and_grad-empty-batch", "train-one-unstacked-frame",
+    ids=["noise_sample-negative-sigma", "noise_sample-nan-sigma", "noise_sample-inf-sigma",
+         "loss_and_grad-empty-batch", "train-one-unstacked-frame",
          "train-two-coordinates", "train-no-frames"],
 )
 def test_invalid_input_raises(traj, call, message):
@@ -578,6 +593,19 @@ def test_sample_walk_is_bit_for_bit_the_mlp_forward_walk(n_points, hidden, train
     reference = _reference_walk(lambda y, s: mlp_forward(m, y, s), schedule, n_points,
                                 np.random.default_rng(seed))
     assert np.array_equal(walked, reference)
+
+
+def test_walks_through_one_denoiser_do_not_share_a_result(traj):
+    # the walk's denoiser returns a buffer it overwrites; a sample must not be a view of it
+    m = MlpDenoiser.initialize(8, 16, traj.scale, np.random.default_rng(18))
+    schedule = DdimSchedule((2.0, 1.0, 0.5, 0.1, 0.0))
+    denoise = diffusion._walk_denoiser(m)
+    first = ddim_sample(denoise, schedule, 8, np.random.default_rng(1))
+    kept = first.copy()
+    second = ddim_sample(denoise, schedule, 8, np.random.default_rng(2))
+    assert not np.array_equal(first, second)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(first, ddim_sample(diffusion._walk_denoiser(m), schedule, 8, np.random.default_rng(1)))
 
 
 def test_model_rejects_a_wrong_size_theta(traj):
