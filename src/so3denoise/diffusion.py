@@ -12,16 +12,20 @@ on the seeded stream, not on the model, and the probe metrics never feed
 the update, so each block draws all its batches (three generator calls
 per step), noises them and computes their targets in one stacked pass,
 and scores the probe predictions of all its steps in one stacked pass
-when it ends.  Each step keeps only its forward/backward pass and one
-in-place Adam update of the model's flat parameter vector ``theta``.
+when it ends.  Each step keeps only its forward/backward pass, which
+writes its gradients into one flat vector in ``theta``'s order, and one
+Adam update of the model's flat parameters ``theta``, in place through
+two scratch vectors with the IEEE operations of the textbook update.
 
-Every forward pass (training, ``mlp_forward`` and the sampling walk) runs
-through one MLP body, ``_mlp``, which writes into buffers its caller owns.
-Training and ``mlp_forward`` make their buffers per call.  The walk's
-denoiser makes its feature row, hidden activations and prediction once and
-refills the row per step, and ``ddim_sample`` updates its sample in place
-through one step buffer, so a DDIM step allocates no array; it is bit for
-bit ``mlp_forward`` and the out-of-place update.
+Every forward pass (training, the probe, ``mlp_forward`` and the sampling
+walk) runs through one MLP body, ``_mlp``, which writes into buffers its
+caller owns.  A training step and ``mlp_forward`` make their buffers per
+call.  ``train`` makes the probe's ``(16, 1, 3n + 2)`` feature rows once
+and binds ``_mlp`` to them once.  The walk's denoiser makes its feature
+row, hidden activations and prediction once and refills the row per step, and
+``ddim_sample`` updates its sample in place through one step buffer, so a
+DDIM step allocates no array; it is bit for bit ``mlp_forward`` and the
+out-of-place update.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -272,9 +276,11 @@ def _targets(ys, xs, r_aug, sigma: float, estimator: EstimatorKind):
 
 
 def _batch_loss_and_grad(
-    m: MlpDenoiser, ys: np.ndarray, targets: np.ndarray, keep: np.ndarray, sigma: float
-) -> LossAndGrad:
-    """Loss and gradients of a stacked batch against its precomputed targets."""
+    m: MlpDenoiser, ys: np.ndarray, targets: np.ndarray, keep: np.ndarray, sigma: float, grad: MlpDenoiser
+) -> tuple[float, int]:
+    """Loss and excluded count of a stacked batch against its precomputed targets.
+
+    Writes the gradients into ``grad``, shaped like ``m``: its ``theta`` is the flat gradient."""
     if not keep.any():
         raise ValueError("every sample in the batch was excluded")
     n = ys.shape[0]
@@ -294,13 +300,11 @@ def _batch_loss_and_grad(
     g_flat = g_out.reshape(b, -1)
     g_hidden = g_flat @ m.w2
     g_pre = g_hidden * (1.0 - hidden * hidden)
-    grads = {
-        "w2": g_flat.T @ hidden,
-        "b2": g_flat.sum(axis=0),
-        "w1": g_pre.T @ feats,
-        "b1": g_pre.sum(axis=0),
-    }
-    return LossAndGrad(loss, grads, n - b)
+    np.matmul(g_flat.T, hidden, out=grad.w2)
+    g_flat.sum(axis=0, out=grad.b2)
+    np.matmul(g_pre.T, feats, out=grad.w1)
+    g_pre.sum(axis=0, out=grad.b1)
+    return loss, n - b
 
 
 def loss_and_grad(
@@ -318,7 +322,9 @@ def loss_and_grad(
     if not batch:
         raise ValueError("batch must be nonempty")
     ys, xs, r_aug = (np.stack(part) for part in zip(*batch))
-    return _batch_loss_and_grad(m, ys, *_targets(ys, xs, r_aug, sigma, estimator), sigma)
+    grad = replace(m, theta=np.empty_like(m.theta))  # a new flat gradient per call
+    loss, n_excluded = _batch_loss_and_grad(m, ys, *_targets(ys, xs, r_aug, sigma, estimator), sigma, grad)
+    return LossAndGrad(loss, {name: getattr(grad, name) for name in ("w1", "b1", "w2", "b2")}, n_excluded)
 
 
 def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
@@ -381,6 +387,9 @@ def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
     probe_ys, probe_xs, probe_r = draw_batch(1, _PROBE_SIZE)
     probe_truth = rotate(probe_r, probe_xs)
     probe_targets, probe_keep = _targets(probe_ys, probe_xs, probe_r, cfg.sigma, cfg.estimator)
+    # mlp_forward's (16, 1, 3n + 2) rows: one (16, 3n + 2) GEMM would give other bits
+    probe_forward = _mlp(model, _features(model, probe_ys[:, None], cfg.sigma),
+                         np.empty((_PROBE_SIZE, 1, cfg.hidden)), np.empty((_PROBE_SIZE, 1, n_points, 3)))
 
     block_steps = max(1, _BLOCK_POINTS // (cfg.batch * n_points))
     preds = np.empty((block_steps, _PROBE_SIZE, n_points, 3))  # probe predictions of a block
@@ -397,7 +406,7 @@ def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
         pending.clear()
 
     def probe(step: int, loss: float, n_excluded: int) -> None:
-        preds[len(pending)] = mlp_forward(model, probe_ys, cfg.sigma)
+        preds[len(pending)] = probe_forward()[:, 0]
         pending.append((step, loss, n_excluded))
 
     def diverged(step: int) -> TrainResult:
@@ -410,9 +419,11 @@ def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
         pending[0] = (0, float(np.sum(diff**2) / np.count_nonzero(probe_keep)), 0)
     flush()
 
-    theta, names = model.theta, tuple(_param_shapes(n_points, cfg.hidden))  # checkpoint order
+    theta, grad = model.theta, replace(model, theta=np.empty_like(model.theta))
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     moment1, moment2 = np.zeros_like(theta), np.zeros_like(theta)
+    m_step, v_step = np.empty_like(theta), np.empty_like(theta)  # Adam's scratch
+    finite = np.empty(theta.shape, dtype=bool)
 
     # overflow inside a step is the divergence signal, surfaced via the status
     with np.errstate(over="ignore", invalid="ignore"):
@@ -423,20 +434,23 @@ def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
             for step in range(first, first + n_steps):
                 rows = slice((step - first) * cfg.batch, (step - first + 1) * cfg.batch)
                 try:
-                    loss, grads, n_excluded = _batch_loss_and_grad(
-                        model, ys[rows], targets[rows], keep[rows], cfg.sigma
+                    loss, n_excluded = _batch_loss_and_grad(
+                        model, ys[rows], targets[rows], keep[rows], cfg.sigma, grad
                     )
                 except ValueError:  # every sample of the batch was excluded
                     return diverged(step)
                 if not np.isfinite(loss):
                     return diverged(step)
-                g = np.concatenate([grads[name].ravel() for name in names])
-                moment1 = beta1 * moment1 + (1 - beta1) * g
-                moment2 = beta2 * moment2 + (1 - beta2) * g * g
-                m_hat = moment1 / (1 - beta1**step)
-                v_hat = moment2 / (1 - beta2**step)
-                theta -= cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
-                if not np.isfinite(theta).all():
+                # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, theta -= lr*m_hat / (sqrt(v_hat) + eps)
+                g = grad.theta
+                np.add(np.multiply(moment1, beta1, out=moment1),
+                       np.multiply(g, 1 - beta1, out=m_step), out=moment1)
+                np.multiply(np.multiply(g, 1 - beta2, out=v_step), g, out=v_step)
+                np.add(np.multiply(moment2, beta2, out=moment2), v_step, out=moment2)
+                np.multiply(np.divide(moment1, 1 - beta1**step, out=m_step), cfg.lr, out=m_step)
+                np.sqrt(np.divide(moment2, 1 - beta2**step, out=v_step), out=v_step)
+                theta -= np.divide(m_step, np.add(v_step, eps, out=v_step), out=m_step)
+                if not np.isfinite(theta, out=finite).all():
                     return diverged(step)
                 probe(step, loss, n_excluded)
             flush()

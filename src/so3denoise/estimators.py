@@ -220,10 +220,10 @@ def sweep_aug_anomalies(records: list[SweepRecord]) -> list[float]:
 
 
 def _write_csv(path, header: list[str], rows) -> None:
-    """Write ``header`` and ``rows`` at once, LF line ends, floats as ``repr``, fields
-    unquoted: no header name or value holds a comma, a quote or a line end."""
+    """Write ``header`` and ``rows`` at once, LF line ends, floats (numpy's too) as ``float.__repr__``,
+    fields unquoted: no header name or value holds a comma, a quote or a line end."""
     lines = [",".join(header)]
-    lines += [",".join([repr(v) if isinstance(v, float) else str(v) for v in row]) for row in rows]
+    lines += [",".join([float.__repr__(v) if isinstance(v, float) else str(v) for v in row]) for row in rows]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

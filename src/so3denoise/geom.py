@@ -121,6 +121,9 @@ def proper_svd(a: np.ndarray) -> ProperSvd:
     flip and ``s[2]`` is unchanged.  Stacks give ``u``, ``v`` of shape
     ``(..., 3, 3)`` and ``s`` of shape ``(..., 3)``.
 
+    Both factors are orthogonal to rounding, so each determinant is +-1:
+    its sign, that of ``np.linalg.det``, comes from a cofactor expansion.
+
     Raises ``ValueError`` on non-finite input.
     """
     a = np.asarray(a, dtype=float)
@@ -130,8 +133,10 @@ def proper_svd(a: np.ndarray) -> ProperSvd:
         raise ValueError("proper_svd requires finite input")
     u, s, vt = np.linalg.svd(a)
     v = transpose(vt).copy()
-    for factor in (u, v):
-        sign = np.sign(np.linalg.det(factor))  # det is +-1: -1 where the factor is improper
+    # columns p, q, r of every u and vt (det(vt) = det(v)): ``.T`` puts the entry axes first
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = np.stack((u, vt)).T
+    det = p0 * (q1 * r2 - q2 * r1) - p1 * (q0 * r2 - q2 * r0) + p2 * (q0 * r1 - q1 * r0)
+    for factor, sign in zip((u, v), np.sign(det).T):  # -1 where the factor is improper
         factor[..., 2] *= sign[..., None]
         s[..., 2] *= sign
     return ProperSvd(u, s, v)

@@ -466,6 +466,16 @@ def test_bench_sample_workload_passes_its_own_checks(tmp_path):
     assert sample.check(0, "t", rc, stdout).problems == []
 
 
+def test_bench_train_workload_passes_its_own_checks(tmp_path):
+    # set-up writes the bench dataset and runs a 20-step warm-up; one timed-shape call
+    # (300 steps) must complete and pass the bench's own train check
+    wl = _bench_workloads()
+    train_wl = wl.Train(1, tmp_path)
+    assert train_wl.setup() == []
+    rc, stdout, _ = wl.run_cli(train_wl.argv(0, "t"))
+    assert train_wl.check(0, "t", rc, stdout).problems == []
+
+
 def test_selftest_fast_passes(capsys):
     assert main(["selftest", "--fast"]) == 0
     out = capsys.readouterr().out

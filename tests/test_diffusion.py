@@ -139,6 +139,20 @@ def test_loss_and_grad_matches_finite_differences():
                 assert abs(grad[idx] - fd) <= 1e-5 * max(abs(grad[idx]), abs(fd), 1e-4)
 
 
+def test_loss_and_grad_calls_share_no_gradient_memory():
+    # the four gradients are views of one flat vector; each call must make its own
+    rng = np.random.default_rng(9)
+    x = center(rng.standard_normal((4, 3)))
+    m = MlpDenoiser.initialize(4, 8, 1.0, rng)
+    batch = [(y, x, r_aug) for y, r_aug in (noise_sample(x, 0.3, rng) for _ in range(3))]
+    first, second = (loss_and_grad(m, batch, 0.3, EstimatorKind.ORDER0).grads for _ in range(2))
+    assert first.keys() == second.keys() == {"w1", "b1", "w2", "b2"}
+    for name, g in first.items():
+        np.testing.assert_array_equal(g, second[name])
+        assert g.shape == getattr(m, name).shape
+        assert not any(np.shares_memory(g, other) for other in (*second.values(), m.theta))
+
+
 def test_loss_exact_recovery_limit():
     rng = np.random.default_rng(8)
     x = center(rng.standard_normal((5, 3)))
@@ -480,6 +494,19 @@ def test_train_bit_identical_to_per_sample_loop(monkeypatch, tmp_path, traj, kin
     got, want = train(cfg, traj.frames), _reference_train(cfg, traj.frames)
     assert got.status == want.status == "completed"
     assert got.metrics == want.metrics
+    assert _same_checkpoint(tmp_path, cfg, got, want)
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_bench_shaped_train_bit_identical_to_per_sample_loop(tmp_path, seed):
+    # the bench's shapes with the default block size: 40 steps are two full 16-step
+    # blocks and a partial one
+    frames = synth_trajectory(8, 64, 0.05, seed=seed).frames
+    cfg = TrainConfig(sigma=0.5, estimator="order2", steps=40, batch=32, hidden=64, seed=seed)
+    assert diffusion._BLOCK_POINTS // (cfg.batch * frames.shape[1]) == 16
+    got, want = train(cfg, frames), _reference_train(cfg, frames)
+    assert got.status == want.status == "completed"
+    assert repr(got.metrics) == repr(want.metrics)
     assert _same_checkpoint(tmp_path, cfg, got, want)
 
 

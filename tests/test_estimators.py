@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from so3denoise import align, estimators, fisher, geom, quadrature
+from so3denoise.diffusion import StepMetrics, write_metrics_csv
 from so3denoise.estimators import (
     SWEEP_CSV_HEADER,
     DegenerateAlignmentWarning,
@@ -254,6 +255,19 @@ def test_sweep_order0_mse_slope(cloud):
     # alignment-vs-augmented ordering is recorded, not asserted
     anomalies = sweep_aug_anomalies(records)
     assert isinstance(anomalies, list)
+
+
+@pytest.mark.parametrize("write, row, line", [
+    (write_metrics_csv, lambda f: StepMetrics(1, f(0.5), 0.25, f(0.1), 0), "1,0.5,0.25,0.1,0"),
+    (write_sweep_csv, lambda f: estimators.SweepRecord(f(0.1), EstimatorKind.ORDER2, f(1 / 3), 0.0, 3, 1, 7),
+     "0.1,order2,0.3333333333333333,0.0,3,1,7"),
+], ids=["metrics", "sweep"])
+def test_csv_writers_write_numpy_floats_as_plain_floats(tmp_path, write, row, line):
+    # np.float64 is a float whose repr is "np.float64(0.5)"; both writers must write "0.5"
+    for f in (float, np.float64):
+        path = tmp_path / f"{f.__name__}.csv"
+        write([row(f)], path)
+        assert path.read_text().splitlines()[1] == line
 
 
 def test_sweep_aug_anomalies_flags_levels_where_aug_beats_alignment():

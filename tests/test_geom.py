@@ -11,6 +11,7 @@ from so3denoise.geom import (
     proper_svd,
     rotate,
     sample_haar,
+    transpose,
 )
 
 
@@ -144,3 +145,46 @@ def test_proper_svd_rejects_nonfinite():
     with pytest.raises(ValueError):
         proper_svd(bad)
 
+
+
+def _proper_svd_by_lapack_det(a):
+    """``proper_svd`` as it read the factor signs from ``np.linalg.det``; kept as its reference."""
+    u, s, vt = np.linalg.svd(np.asarray(a, dtype=float))
+    v = transpose(vt).copy()
+    for factor in (u, v):
+        sign = np.sign(np.linalg.det(factor))
+        factor[..., 2] *= sign[..., None]
+        s[..., 2] *= sign
+    return u, s, v
+
+
+_SPECIAL_MATRICES = [
+    np.zeros((3, 3)), np.diag([1.0, 0.0, 0.0]), np.diag([2.0, 1.0, 0.0]), -np.eye(3),
+    np.outer([1.0, -2.0, 3.0], [0.5, 4.0, -1.0]), np.diag([3.0, 2.0, -1.0]), np.eye(3)[[1, 0, 2]],
+]
+
+
+@st.composite
+def svd_inputs(draw):
+    """A 3x3 matrix or a stack of them: Gaussian, reflected, rank 0 to 2, at scales 1e-300 to 1e300."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def matrix():
+        m = draw(st.sampled_from(_SPECIAL_MATRICES + [None] * 4))
+        if m is None:
+            m = rng.standard_normal((3, 3))
+            rank = draw(st.sampled_from([3, 3, 2, 1]))
+            if rank < 3:  # keep ``rank`` of the singular values
+                u, s, vt = np.linalg.svd(m)
+                m = (u * np.where(np.arange(3) < rank, s, 0.0)) @ vt
+        return m * draw(st.sampled_from([1.0, -1.0])) * draw(st.sampled_from([1.0, 1e150, 1e-150, 1e300, 1e-300]))
+
+    shape = draw(st.sampled_from([(), (4,), (2, 3)]))
+    return np.reshape([matrix() for _ in range(int(np.prod(shape)))], shape + (3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(svd_inputs())
+def test_proper_svd_signs_match_the_lapack_determinant_bit_for_bit(a):
+    for got, want in zip(proper_svd(a), _proper_svd_by_lapack_det(a)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
