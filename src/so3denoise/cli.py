@@ -8,6 +8,7 @@ Every randomized subcommand is reproducible from its --seed alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -122,16 +123,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_train(args) -> int:
     traj = load_trajectory(args.input)
-    cfg = TrainConfig(
-        sigma=args.sigma,
-        estimator=EstimatorKind(args.estimator),
-        steps=args.steps,
-        batch=args.batch,
-        lr=args.lr,
-        seed=args.seed,
-        dataset_mode=args.mode,
-        hidden=args.hidden,
-    )
+    # options not given are absent from ``args``, so TrainConfig's defaults fill them in
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    cfg = TrainConfig(**{name: value for name, value in vars(args).items() if name in fields})
     result = train(cfg, traj.frames)
     write_metrics_csv(result.metrics, args.out_metrics)
     save_denoiser(result.model, args.out_model, config=cfg)
@@ -209,16 +203,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("train", help="train the MLP denoiser against an estimator target")
+    p = sub.add_parser("train", help="train the MLP denoiser against an estimator target",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--input", required=True)
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--estimator", choices=["aug", "order0", "order1", "order2"], required=True)
+    p.add_argument("--estimator", choices=[k.value for k in EstimatorKind if k is not EstimatorKind.ORACLE],
+                   required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--mode", choices=["all-frames", "single-frame"], default="all-frames")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--hidden", type=int, default=64)
+    p.add_argument("--mode", dest="dataset_mode", choices=["all-frames", "single-frame"])
+    p.add_argument("--seed", type=int)
+    p.add_argument("--batch", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--hidden", type=int)
     p.add_argument("--out-metrics", required=True)
     p.add_argument("--out-model", required=True)
     p.set_defaults(func=_cmd_train)

@@ -7,25 +7,9 @@ are constants; there is no gradient through the alignment/SVD).  A run
 that produces non-finite losses or parameters terminates with a
 ``diverged`` status instead of crashing.
 
-Training runs in blocks of steps.  A step's draws and targets depend only
-on the seeded stream, not on the model, and the probe metrics never feed
-the update, so each block draws all its batches (three generator calls
-per step), noises them and computes their targets in one stacked pass,
-and scores the probe predictions of all its steps in one stacked pass
-when it ends.  Each step keeps only its forward/backward pass, which
-writes its gradients into one flat vector in ``theta``'s order, and one
-Adam update of the model's flat parameters ``theta``, in place through
-two scratch vectors with the IEEE operations of the textbook update.
-
-Every forward pass (training, the probe, ``mlp_forward`` and the sampling
-walk) runs through one MLP body, ``_mlp``, which writes into buffers its
-caller owns.  A training step and ``mlp_forward`` make their buffers per
-call.  ``train`` makes the probe's ``(16, 1, 3n + 2)`` feature rows once
-and binds ``_mlp`` to them once.  The walk's denoiser makes its feature
-row, hidden activations and prediction once and refills the row per step, and
-``ddim_sample`` updates its sample in place through one step buffer, so a
-DDIM step allocates no array; it is bit for bit ``mlp_forward`` and the
-out-of-place update.
+How a run is drawn, blocked and scored, how every forward pass shares one
+MLP body and how a DDIM walk runs without allocating are documented where
+they live: ``train``, ``_mlp``, ``_walk_denoiser`` and ``ddim_sample``.
 """
 
 from __future__ import annotations
@@ -40,6 +24,7 @@ import numpy as np
 
 from .align import aligned_rmsd, rmsd
 from .estimators import EstimatorKind, _write_csv, estimator_target
+from .fisher import _check_sigma
 from .geom import _noised, center, rotate
 from .trajectory import _rms_point_norm
 
@@ -227,11 +212,12 @@ def mlp_forward(m: MlpDenoiser, y: np.ndarray, sigma: float) -> np.ndarray:
 
     Each cloud of a stack is one feature row of its own, ``(b, 1, 3n + 2)``,
     so its prediction is bit for bit the single-cloud prediction whatever
-    else is in the stack.
+    else is in the stack.  ``sigma`` must be positive and finite.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim not in (2, 3) or y.shape[-2:] != (m.n_points, 3):
         raise ValueError(f"expected shape {(m.n_points, 3)} or a stack of it, got {y.shape}")
+    _check_sigma(sigma)
     ys = y[..., None, :, :]
     feats = _features(m, ys, sigma)
     out = _mlp(m, feats, np.empty(feats.shape[:-1] + (m.hidden,)), np.empty(ys.shape))()
@@ -249,11 +235,10 @@ def _walk_denoiser(m: MlpDenoiser) -> Callable[[np.ndarray, float], np.ndarray]:
     the bits of ``mlp_forward``'s ``(1, 3n + 2)`` row with fewer broadcasts.
     The walk passes only ``(n, 3)`` clouds, which are not checked.
     """
-    d_out, s_ref = 3 * m.n_points, m.s_ref
-    row = np.empty(d_out + 2)
-    coords = row[:d_out].reshape(m.n_points, 3)
+    s_ref = m.s_ref
+    row = _features(m, np.zeros((m.n_points, 3)), 1.0)  # refilled by every step
+    coords = row[:-2].reshape(m.n_points, 3)
     log_sigma = row[-2:-1]
-    row[-1] = 1.0
     forward = _mlp(m, row, np.empty(m.hidden), np.empty((m.n_points, 3)))
 
     def denoise(y: np.ndarray, sigma: float) -> np.ndarray:
@@ -281,9 +266,6 @@ def _batch_loss_and_grad(
     """Loss and excluded count of a stacked batch against its precomputed targets.
 
     Writes the gradients into ``grad``, shaped like ``m``: its ``theta`` is the flat gradient."""
-    if not keep.any():
-        raise ValueError("every sample in the batch was excluded")
-    n = ys.shape[0]
     if not keep.all():
         ys, targets = ys[keep], targets[keep]
     b = ys.shape[0]
@@ -295,16 +277,13 @@ def _batch_loss_and_grad(
     diff = out - targets
     loss = float(np.sum(diff * diff) / b)
 
-    g_out = 2.0 * diff / b
-    g_out = g_out - np.add.reduce(g_out, axis=1, keepdims=True) / g_out.shape[1]  # through re-centering
-    g_flat = g_out.reshape(b, -1)
-    g_hidden = g_flat @ m.w2
-    g_pre = g_hidden * (1.0 - hidden * hidden)
+    g_flat = center(2.0 * diff / b).reshape(b, -1)  # through re-centering
+    g_pre = (g_flat @ m.w2) * (1.0 - hidden * hidden)
     np.matmul(g_flat.T, hidden, out=grad.w2)
     g_flat.sum(axis=0, out=grad.b2)
     np.matmul(g_pre.T, feats, out=grad.w1)
     g_pre.sum(axis=0, out=grad.b1)
-    return loss, n - b
+    return loss, len(keep) - b
 
 
 def loss_and_grad(
@@ -322,8 +301,11 @@ def loss_and_grad(
     if not batch:
         raise ValueError("batch must be nonempty")
     ys, xs, r_aug = (np.stack(part) for part in zip(*batch))
+    targets, keep = _targets(ys, xs, r_aug, sigma, estimator)
+    if not keep.any():
+        raise ValueError("every sample in the batch was excluded")
     grad = replace(m, theta=np.empty_like(m.theta))  # a new flat gradient per call
-    loss, n_excluded = _batch_loss_and_grad(m, ys, *_targets(ys, xs, r_aug, sigma, estimator), sigma, grad)
+    loss, n_excluded = _batch_loss_and_grad(m, ys, targets, keep, sigma, grad)
     return LossAndGrad(loss, {name: getattr(grad, name) for name in ("w1", "b1", "w2", "b2")}, n_excluded)
 
 
@@ -393,31 +375,16 @@ def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
 
     block_steps = max(1, _BLOCK_POINTS // (cfg.batch * n_points))
     preds = np.empty((block_steps, _PROBE_SIZE, n_points, 3))  # probe predictions of a block
-    pending: list[tuple[int, float, int]] = []  # (step, loss, n_excluded) rows of those
     metrics: list[StepMetrics] = []
 
-    def flush() -> None:
-        """Score the pending probe predictions in one stacked pass and append their rows."""
-        stack = preds[: len(pending)]
+    def score(rows: list[tuple[int, float, int]]) -> None:
+        """Append the metrics of ``(step, loss, n_excluded)`` rows, whose probe predictions
+        fill the start of ``preds``, scored in one stacked pass."""
+        stack = preds[: len(rows)]
         r = np.add.reduce(rmsd(stack, np.broadcast_to(probe_truth, stack.shape)), axis=1) / _PROBE_SIZE
         a = np.add.reduce(aligned_rmsd(stack, np.broadcast_to(probe_xs, stack.shape)), axis=1) / _PROBE_SIZE
-        for (step, loss, n_excluded), r_j, a_j in zip(pending, r.tolist(), a.tolist()):
+        for (step, loss, n_excluded), r_j, a_j in zip(rows, r.tolist(), a.tolist()):
             metrics.append(StepMetrics(step, loss, r_j, a_j, n_excluded))
-        pending.clear()
-
-    def probe(step: int, loss: float, n_excluded: int) -> None:
-        preds[len(pending)] = probe_forward()[:, 0]
-        pending.append((step, loss, n_excluded))
-
-    def diverged(step: int) -> TrainResult:
-        flush()
-        return TrainResult(model, metrics, "diverged", step)
-
-    probe(0, float("nan"), 0)
-    if probe_keep.any():  # row 0's loss is over the kept rows of its probe forward
-        diff = preds[0, probe_keep] - probe_targets[probe_keep]
-        pending[0] = (0, float(np.sum(diff**2) / np.count_nonzero(probe_keep)), 0)
-    flush()
 
     theta, grad = model.theta, replace(model, theta=np.empty_like(model.theta))
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -425,22 +392,24 @@ def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
     m_step, v_step = np.empty_like(theta), np.empty_like(theta)  # Adam's scratch
     finite = np.empty(theta.shape, dtype=bool)
 
-    # overflow inside a step is the divergence signal, surfaced via the status
+    # overflow in a step or a probe score is the divergence signal, surfaced via the status
     with np.errstate(over="ignore", invalid="ignore"):
+        # row 0's loss is the mean over the kept probe items: 0 / 0, so NaN, when none is kept
+        preds[0] = probe_forward()[:, 0]
+        diff = preds[0, probe_keep] - probe_targets[probe_keep]
+        score([(0, float(np.sum(diff**2) / np.count_nonzero(probe_keep)), 0)])
         for first in range(1, cfg.steps + 1, block_steps):
             n_steps = min(block_steps, cfg.steps + 1 - first)
             ys, xs, r_aug = draw_batch(n_steps, cfg.batch)
             targets, keep = _targets(ys, xs, r_aug, cfg.sigma, cfg.estimator)
+            rows: list[tuple[int, float, int]] = []
             for step in range(first, first + n_steps):
-                rows = slice((step - first) * cfg.batch, (step - first + 1) * cfg.batch)
-                try:
-                    loss, n_excluded = _batch_loss_and_grad(
-                        model, ys[rows], targets[rows], keep[rows], cfg.sigma, grad
-                    )
-                except ValueError:  # every sample of the batch was excluded
-                    return diverged(step)
+                part = slice((step - first) * cfg.batch, (step - first + 1) * cfg.batch)
+                if not keep[part].any():  # every sample of the step's batch was excluded
+                    break
+                loss, n_excluded = _batch_loss_and_grad(model, ys[part], targets[part], keep[part], cfg.sigma, grad)
                 if not np.isfinite(loss):
-                    return diverged(step)
+                    break
                 # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, theta -= lr*m_hat / (sqrt(v_hat) + eps)
                 g = grad.theta
                 np.add(np.multiply(moment1, beta1, out=moment1),
@@ -451,9 +420,12 @@ def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
                 np.sqrt(np.divide(moment2, 1 - beta2**step, out=v_step), out=v_step)
                 theta -= np.divide(m_step, np.add(v_step, eps, out=v_step), out=m_step)
                 if not np.isfinite(theta, out=finite).all():
-                    return diverged(step)
-                probe(step, loss, n_excluded)
-            flush()
+                    break
+                preds[len(rows)] = probe_forward()[:, 0]
+                rows.append((step, loss, n_excluded))
+            score(rows)
+            if len(rows) < n_steps:  # the block stopped at its first step without a row
+                return TrainResult(model, metrics, "diverged", first + len(rows))
     return TrainResult(model, metrics, "completed", None)
 
 

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -105,9 +106,12 @@ def sample_haar(rng: np.random.Generator, size: int | None = None) -> np.ndarray
     A unit quaternion is sampled uniformly on S^3 (four independent
     standard normals, normalized) and converted to a matrix.  With
     ``size=None`` returns a single ``(3, 3)`` matrix, otherwise
-    ``(size, 3, 3)``.
+    ``(size, 3, 3)``; a ``size`` that is not an integer raises ``TypeError``.
     """
-    n = 1 if size is None else int(size)
+    try:
+        n = 1 if size is None else operator.index(size)
+    except TypeError:
+        raise TypeError(f"size must be an integer, got {size!r}") from None
     m = haar_from_normals(rng.standard_normal((n, 4)))
     return m[0] if size is None else m
 

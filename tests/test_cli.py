@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import so3denoise
 import so3denoise.selftest
 from so3denoise import align, cli, fisher, geom, quadrature
 from so3denoise.cli import main
-from so3denoise.diffusion import MlpDenoiser, save_denoiser
+from so3denoise.diffusion import MlpDenoiser, TrainConfig, load_denoiser, save_denoiser
 from so3denoise.fisher import mf_mean_laplace
 from so3denoise.geom import proper_svd
 from so3denoise.quadrature import mf_mean_quadrature
@@ -155,6 +156,18 @@ def test_train_and_sample_round_trip(capsys, tmp_path, traj_path):
     sampled = load_trajectory(sample_out)
     assert sampled.n_points == 8
     assert sampled.n_frames == 1
+
+
+def test_train_takes_its_defaults_from_train_config(capsys, tmp_path, traj_path):
+    model = tmp_path / "model.bin"
+    code, payload = run_json(
+        capsys,
+        ["train", "--input", traj_path, "--sigma", "0.5", "--estimator", "order1", "--steps", "3",
+         "--out-metrics", str(tmp_path / "m.csv"), "--out-model", str(model)],
+    )
+    assert code == 0 and payload["status"] == "completed"
+    config = json.loads(json.dumps(asdict(TrainConfig(0.5, "order1", 3))))
+    assert load_denoiser(model)[1]["config"] == config
 
 
 def test_train_divergence_prints_valid_json(capsys, tmp_path, traj_path):

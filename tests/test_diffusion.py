@@ -268,6 +268,14 @@ def test_train_config_makes_counts_plain_ints():
     assert all(type(v) is int for v in (cfg.steps, cfg.batch, cfg.hidden))
 
 
+def _model():
+    return MlpDenoiser.initialize(8, 4, 1.0, np.random.default_rng(0))
+
+
+# a collinear cloud: its order-1/2 targets are expansion-singular
+_LINE = np.outer(np.linspace(-1.0, 1.0, 8), [1.0, 0.0, 0.0])
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -281,10 +289,18 @@ def test_train_config_makes_counts_plain_ints():
         (lambda x: train(TrainConfig(0.5, "aug", 1), x), "dataset must be a nonempty"),
         (lambda x: train(TrainConfig(0.5, "aug", 1), x[None, :, :2]), "dataset must be a nonempty"),
         (lambda x: train(TrainConfig(0.5, "aug", 1), np.empty((0, *x.shape))), "dataset must be a nonempty"),
+        (lambda x: mlp_forward(_model(), x, 0.0), "sigma must be positive and finite, got 0.0"),
+        (lambda x: mlp_forward(_model(), x, -0.1), "sigma must be positive and finite, got -0.1"),
+        (lambda x: mlp_forward(_model(), x, float("nan")), "sigma must be positive and finite, got nan"),
+        (lambda x: mlp_forward(_model(), x[None], float("inf")), "sigma must be positive and finite, got inf"),
+        (lambda x: loss_and_grad(_model(), [(y, _LINE, np.eye(3)) for y in (_LINE, 2 * _LINE)], 0.5,
+                                 EstimatorKind.ORDER2), "every sample in the batch was excluded"),
     ],
     ids=["noise_sample-negative-sigma", "noise_sample-nan-sigma", "noise_sample-inf-sigma",
          "loss_and_grad-empty-batch", "train-one-unstacked-frame",
-         "train-two-coordinates", "train-no-frames"],
+         "train-two-coordinates", "train-no-frames", "mlp_forward-zero-sigma",
+         "mlp_forward-negative-sigma", "mlp_forward-nan-sigma", "mlp_forward-inf-sigma",
+         "loss_and_grad-all-expansion-singular"],
 )
 def test_invalid_input_raises(traj, call, message):
     with pytest.raises(ValueError, match=message):
@@ -517,6 +533,42 @@ def test_train_divergence_mid_block_matches_per_sample_loop(monkeypatch, tmp_pat
     got, want = train(cfg, traj.frames), _reference_train(cfg, traj.frames)
     assert want.status == "diverged" and (want.diverged_at - 1) % 3 != 0  # not a block's first step
     assert (got.status, got.diverged_at) == (want.status, want.diverged_at)
+    assert repr(got.metrics) == repr(want.metrics)
+    assert _same_checkpoint(tmp_path, cfg, got, want)
+
+
+@pytest.mark.parametrize("seed, block", [(1, None), (2, 3), (3, 3)])
+def test_train_non_finite_loss_exit_matches_per_sample_loop(monkeypatch, tmp_path, traj, seed, block):
+    # a frame scaled by 1e160 makes AUG's loss overflow to inf while theta is still
+    # finite; seeds 1 and 2 also draw it into the probe, whose row 0 then overflows
+    frames = traj.frames.copy()
+    frames[2] *= 1e160
+    cfg = TrainConfig(sigma=0.5, estimator="aug", steps=20, batch=8, seed=seed)
+    assert (2 in _probe_frames(cfg, frames)) == (seed != 3)
+    if block is not None:
+        _use_blocks_of(monkeypatch, block, cfg, frames)
+    got = train(cfg, frames)  # warns nothing: an overflow is reported through the status
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _reference_train(cfg, frames)
+    assert want.status == "diverged" and want.diverged_at == {1: 1, 2: 2, 3: 6}[seed]
+    assert (got.status, got.diverged_at) == (want.status, want.diverged_at)
+    assert np.isfinite(got.model.theta).all()
+    assert repr(got.metrics) == repr(want.metrics)
+    assert _same_checkpoint(tmp_path, cfg, got, want)
+
+
+def test_train_all_excluded_exit_mid_block_matches_per_sample_loop(monkeypatch, tmp_path, traj):
+    # batch 1 over a generic and a collinear frame: the step that draws the collinear
+    # frame has its only order-2 target expansion-singular, in the second block here
+    line = np.zeros((8, 3))
+    line[:, 0] = np.linspace(-1.0, 1.0, 8)
+    frames = np.stack([traj.frames[0], line])
+    cfg = TrainConfig(sigma=0.5, estimator="order2", steps=20, batch=1, seed=2)
+    _use_blocks_of(monkeypatch, 3, cfg, frames)
+    got, want = train(cfg, frames), _reference_train(cfg, frames)
+    assert want.status == "diverged" and want.diverged_at == 5  # not a block's first step
+    assert (got.status, got.diverged_at) == (want.status, want.diverged_at)
+    assert np.isfinite(got.model.theta).all()
     assert repr(got.metrics) == repr(want.metrics)
     assert _same_checkpoint(tmp_path, cfg, got, want)
 

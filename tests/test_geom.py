@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,20 @@ def test_sample_haar_first_moments():
     tr = np.trace(m, axis1=1, axis2=2)
     assert abs(tr.mean()) <= 5e-3
     assert abs(np.mean(tr * tr) - 1.0) <= 1e-2
+
+
+@pytest.mark.parametrize("size", [2.5, 2.0, np.float64(3.0), "3"])
+def test_sample_haar_rejects_a_size_that_is_not_an_integer(size):
+    with pytest.raises(TypeError, match=re.escape(f"size must be an integer, got {size!r}")):
+        sample_haar(np.random.default_rng(0), size)
+
+
+@pytest.mark.parametrize("size", [3, np.int64(3), np.uint8(3)])
+def test_sample_haar_takes_numpy_int_sizes_with_the_same_draws(size):
+    got = sample_haar(np.random.default_rng(6), size)
+    want = sample_haar(np.random.default_rng(6), 3)
+    assert got.shape == (3, 3, 3)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_sample_haar_invariance_ks():
