@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import ProperSvd, proper_svd, rotate, transpose
+from .geom import ProperSvd, _det3, proper_svd, rotate, transpose
 
 # Relative threshold on the second singular value of y.T @ x below which
 # the optimal rotation is not unique (collinear/planar-degenerate input).
@@ -75,3 +75,26 @@ def aligned_rmsd(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """RMSD after optimally rotating ``b`` onto ``a``; lower-bounds rmsd."""
     u, _, v = _cross_svd(a, b)
     return rmsd(a, rotate(u @ transpose(v), b))
+
+
+# a mean square within this many eps (|a|^2 + |b|^2) of zero is rounding, and reads 0
+_MSD_FLOOR = 16 * np.finfo(float).eps
+
+
+def _spectral_rmsd(a: np.ndarray, b: np.ndarray, b_sq: float | np.ndarray) -> np.ndarray:
+    """``aligned_rmsd`` of clouds (stacks broadcast) from the singular values of ``a.T @ b``.
+
+    The mean square is (|a|^2 + |b|^2 - 2 (s1 + s2 + sign(det) s3)) / N, with the sign of the
+    determinant of ``a.T @ b`` and ``b_sq`` = |b|^2, per cloud.  The formula cancels: it is
+    off by about eps (|a|^2 + |b|^2) / N, so a mean square below ``_MSD_FLOOR`` times that is
+    clipped to 0, and the RMSD of clouds that nearly coincide is good only to about sqrt(eps)
+    times their scale.  ``aligned_rmsd`` rotates and subtracts instead.
+    """
+    m = transpose(a) @ b
+    s = np.linalg.svd(m, compute_uv=False)
+    # the determinant of the matrix scaled by s1, which can neither overflow nor underflow to 0
+    # unless s3 is negligible; 0 / tiny keeps a zero matrix's determinant 0
+    det = _det3(m / np.maximum(s[..., :1, None], np.finfo(float).tiny))
+    total = np.sum(a * a, axis=(-2, -1)) + b_sq
+    ssd = total - 2.0 * (s[..., 0] + s[..., 1] + np.copysign(s[..., 2], det))  # N times the mean square
+    return np.sqrt(np.where(ssd < _MSD_FLOOR * total, 0.0, ssd) / a.shape[-2])

@@ -17,22 +17,9 @@ import numpy as np
 
 from . import selftest as _selftest
 from .align import _cross_svd, kabsch, rmsd
-from .diffusion import (
-    DdimSchedule,
-    TrainConfig,
-    _walk_denoiser,
-    ddim_sample,
-    load_denoiser,
-    save_denoiser,
-    train,
-    write_metrics_csv,
-)
-from .estimators import (
-    EstimatorKind,
-    error_sweep,
-    sweep_aug_anomalies,
-    write_sweep_csv,
-)
+from .diffusion import (DdimSchedule, TrainConfig, _walk_denoiser, ddim_sample, load_denoiser,
+                        save_denoiser, train, write_metrics_csv)
+from .estimators import EstimatorKind, error_sweep, sweep_aug_anomalies, write_sweep_csv
 from .fisher import _check_sigma, _expansion
 from .geom import rotate
 from .quadrature import _oracle_mean
@@ -59,14 +46,8 @@ def _cmd_align(args) -> int:
     a = _frame(traj, args.frame_a)
     b = _frame(traj, args.frame_b)
     result = kabsch(a, b)
-    _emit(
-        {
-            "rotation": result.rotation.tolist(),
-            "rmsd": rmsd(a, b),
-            "aligned_rmsd": rmsd(a, rotate(result.rotation, b)),
-            "degenerate": result.degenerate,
-        }
-    )
+    _emit({"rotation": result.rotation.tolist(), "rmsd": rmsd(a, b),
+           "aligned_rmsd": rmsd(a, rotate(result.rotation, b)), "degenerate": result.degenerate})
     return 0
 
 
@@ -88,14 +69,8 @@ def _cmd_moment(args) -> int:
             except ValueError:
                 error = float("nan")
             errors[f"order{order}"] = _json_number(error)
-        _emit(
-            {
-                "sigma": args.sigma,
-                "order": "oracle",
-                "moment": moment.tolist(),
-                "per_order_max_abs_error": errors,
-            }
-        )
+        _emit({"sigma": args.sigma, "order": "oracle", "moment": moment.tolist(),
+               "per_order_max_abs_error": errors})
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
             moment, _ = _expansion(svd, args.sigma, int(args.order))
@@ -111,13 +86,7 @@ def _cmd_sweep(args) -> int:
     sigmas = [float(s) for s in args.sigmas.split(",") if s.strip()]
     records = error_sweep(x, sigmas, args.n_noise, args.seed, tol=args.tol)
     write_sweep_csv(records, args.out)
-    _emit(
-        {
-            "out": args.out,
-            "records": len(records),
-            "aug_anomalies": sweep_aug_anomalies(records),
-        }
-    )
+    _emit({"out": args.out, "records": len(records), "aug_anomalies": sweep_aug_anomalies(records)})
     return 0
 
 
@@ -130,21 +99,10 @@ def _cmd_train(args) -> int:
     write_metrics_csv(result.metrics, args.out_metrics)
     save_denoiser(result.model, args.out_model, config=cfg)
     last = result.metrics[-1]
-    _emit(
-        {
-            "status": result.status,
-            "diverged_at": result.diverged_at,
-            "steps_recorded": len(result.metrics),
-            "final": {
-                "step": last.step,
-                "loss": _json_number(last.loss),
-                "rmsd": _json_number(last.rmsd),
-                "aligned_rmsd": _json_number(last.aligned_rmsd),
-            },
-            "out_metrics": args.out_metrics,
-            "out_model": args.out_model,
-        }
-    )
+    final = {"step": last.step, "loss": _json_number(last.loss), "rmsd": _json_number(last.rmsd),
+             "aligned_rmsd": _json_number(last.aligned_rmsd)}
+    _emit({"status": result.status, "diverged_at": result.diverged_at, "steps_recorded": len(result.metrics),
+           "final": final, "out_metrics": args.out_metrics, "out_model": args.out_model})
     return 0
 
 

@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .align import aligned_rmsd, rmsd
+from .align import _spectral_rmsd, rmsd
 from .estimators import EstimatorKind, _write_csv, estimator_target
 from .fisher import _check_sigma
-from .geom import _noised, center, rotate
+from .geom import _count, _noised, center, rotate
 from .trajectory import _rms_point_norm
 
 # cap on the points (steps x batch x N) a training block draws and scores at once
@@ -109,11 +108,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("steps", "batch", "hidden"):  # numpy ints and bools become plain ints
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if not (np.isfinite(self.sigma) and np.isfinite(self.lr)):
             raise ValueError(f"sigma and lr must be finite, got {self.sigma} and {self.lr}")
         if self.sigma <= 0 or self.lr <= 0 or self.batch < 1 or self.hidden < 1:
@@ -314,7 +309,9 @@ def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
 
     Metrics are recorded per step on a fixed probe batch drawn before
     training: RMSD of the prediction to the rotated ground truth, and
-    aligned RMSD to the clean frame.  Row 0 reports the pre-training
+    aligned RMSD to the clean frame, from singular values alone
+    (``align._spectral_rmsd``: within about sqrt(eps) times the clouds'
+    scale of ``aligned_rmsd``).  Row 0 reports the pre-training
     state (its loss is evaluated on the probe batch).  Fully
     deterministic given the config seed.  Non-finite losses or
     parameters, or a batch whose samples are all excluded, stop the run
@@ -382,7 +379,7 @@ def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
         fill the start of ``preds``, scored in one stacked pass."""
         stack = preds[: len(rows)]
         r = np.add.reduce(rmsd(stack, np.broadcast_to(probe_truth, stack.shape)), axis=1) / _PROBE_SIZE
-        a = np.add.reduce(aligned_rmsd(stack, np.broadcast_to(probe_xs, stack.shape)), axis=1) / _PROBE_SIZE
+        a = np.add.reduce(_spectral_rmsd(stack, probe_xs, probe_xs_sq), axis=1) / _PROBE_SIZE
         for (step, loss, n_excluded), r_j, a_j in zip(rows, r.tolist(), a.tolist()):
             metrics.append(StepMetrics(step, loss, r_j, a_j, n_excluded))
 
@@ -394,6 +391,7 @@ def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
 
     # overflow in a step or a probe score is the divergence signal, surfaced via the status
     with np.errstate(over="ignore", invalid="ignore"):
+        probe_xs_sq = np.sum(probe_xs * probe_xs, axis=(-2, -1))  # |b|^2 of every probe score
         # row 0's loss is the mean over the kept probe items: 0 / 0, so NaN, when none is kept
         preds[0] = probe_forward()[:, 0]
         diff = preds[0, probe_keep] - probe_targets[probe_keep]

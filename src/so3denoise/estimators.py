@@ -29,7 +29,7 @@ import numpy as np
 
 from .align import _cross_svd, _degenerate
 from .fisher import _check_sigma, _expansion
-from .geom import _noised, rotate, transpose
+from .geom import _count, _noised, rotate, transpose
 from .quadrature import _oracle_mean
 
 SWEEP_CSV_HEADER = ["sigma", "kind", "mean_mse", "stderr", "n_samples", "n_excluded", "seed"]
@@ -146,9 +146,10 @@ def error_sweep(
     every noise level, each item with its own sigma.  The oracle and
     ORDER0, ORDER1 and ORDER2 share one proper SVD of the stacked
     ``y.T @ x``: one factorization per sweep.  Degenerate alignments warn
-    once per sweep.
+    once per sweep.  An ``n_noise`` that is not an integer raises ``TypeError``.
     """
     x = np.asarray(x, dtype=float)
+    n_noise = _count(n_noise, "n_noise")
     if n_noise < 1:
         raise ValueError(f"n_noise must be >= 1, got {n_noise}")
     sig = [float(s) for s in sigmas]

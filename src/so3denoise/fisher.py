@@ -54,19 +54,14 @@ def _pairwise_sums(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, (d <= 1e-9 * s[..., :1]).any(axis=-1)
 
 
-_POW = np.frompyfunc(math.pow, 2, 1)
-
-
-def _power(d: float | np.ndarray, p: float) -> np.ndarray:
-    # Raised one element at a time through libm pow, as ``d ** p`` does on a
-    # float or a numpy scalar: numpy's array ``**`` rounds differently (pow
-    # and d * d differ in the last bit for about one value in 1200), and
-    # seeded results are pinned to the pow rounding.  A finite power too large
-    # for a float raises ValueError rather than pow's OverflowError.
-    try:
-        return np.asarray(_POW(d, p), dtype=float)
-    except OverflowError:
-        raise ValueError(f"{np.max(np.abs(d)):g}**{p:g} overflows a float") from None
+def _square(x: float | np.ndarray, base: float | np.ndarray, p: int) -> np.ndarray:
+    """``x * x``, which is ``base**p``, as an array.  A square too large for a float raises
+    ``ValueError`` naming ``base**p``: divided by, an infinite power would quietly give 0."""
+    with np.errstate(over="ignore"):
+        square = np.square(x, dtype=float)
+    if not np.isfinite(square).all():
+        raise ValueError(f"{np.max(np.abs(base)):g}**{p} overflows a float")
+    return square
 
 
 def _coefficients(s: np.ndarray, order: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -85,7 +80,7 @@ def _coefficients(s: np.ndarray, order: int) -> tuple[list[np.ndarray], np.ndarr
     d[singular] = 1.0  # no division by a zero sum; these rows end NaN
     inverses = [(-0.5, 1.0 / d)]
     if order == 2:
-        inverses.append((-0.125, 1.0 / _power(d, 2.0)))
+        inverses.append((-0.125, 1.0 / _square(d, d, 2)))
     coefficients = [scale * (inv.take(_PAIRS[1], axis=-1) + inv.take(_PAIRS[0], axis=-1))
                     for scale, inv in inverses]
     for c in coefficients:
@@ -132,8 +127,10 @@ def _expansion(svd: ProperSvd, sigma, order: int) -> tuple[np.ndarray, np.ndarra
     singular = np.zeros(s.shape[:-1], dtype=bool)
     if order:
         coefficients, singular = _coefficients(s, order)
-        for p, c in zip((2.0, 4.0), coefficients):
-            d = d + _power(sigma, p)[..., None] * c
+        square = _square(sigma, sigma, 2)
+        d = d + square[..., None] * coefficients[0]
+        if order == 2:
+            d = d + _square(square, sigma, 4)[..., None] * coefficients[1]
     return (u * d[..., None, :]) @ transpose(v), singular
 
 

@@ -100,6 +100,15 @@ def _noised(xs: np.ndarray, q: np.ndarray, eta: np.ndarray | None, sigma):
     return center(z + sigma * eta), r_aug
 
 
+def _count(value, name: str) -> int:
+    """``value`` as a plain int (numpy ints and bools too); anything else raises a
+    ``TypeError`` naming the argument ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def sample_haar(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Draw uniformly distributed rotations (Haar measure on SO(3)).
 
@@ -108,12 +117,17 @@ def sample_haar(rng: np.random.Generator, size: int | None = None) -> np.ndarray
     ``size=None`` returns a single ``(3, 3)`` matrix, otherwise
     ``(size, 3, 3)``; a ``size`` that is not an integer raises ``TypeError``.
     """
-    try:
-        n = 1 if size is None else operator.index(size)
-    except TypeError:
-        raise TypeError(f"size must be an integer, got {size!r}") from None
+    n = 1 if size is None else _count(size, "size")
     m = haar_from_normals(rng.standard_normal((n, 4)))
     return m[0] if size is None else m
+
+
+def _det3(m: np.ndarray) -> np.ndarray:
+    """Determinants ``(...)`` of 3x3 matrices ``(..., 3, 3)`` by cofactor expansion down the
+    first column; elementwise, so an item of a stack gets the bits of a call on that item."""
+    # columns p, q, r: ``.T`` puts the entry axes first and reverses the batch axes
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = m.T
+    return (p0 * (q1 * r2 - q2 * r1) - p1 * (q0 * r2 - q2 * r0) + p2 * (q0 * r1 - q1 * r0)).T
 
 
 def proper_svd(a: np.ndarray) -> ProperSvd:
@@ -137,10 +151,8 @@ def proper_svd(a: np.ndarray) -> ProperSvd:
         raise ValueError("proper_svd requires finite input")
     u, s, vt = np.linalg.svd(a)
     v = transpose(vt).copy()
-    # columns p, q, r of every u and vt (det(vt) = det(v)): ``.T`` puts the entry axes first
-    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = np.stack((u, vt)).T
-    det = p0 * (q1 * r2 - q2 * r1) - p1 * (q0 * r2 - q2 * r0) + p2 * (q0 * r1 - q1 * r0)
-    for factor, sign in zip((u, v), np.sign(det).T):  # -1 where the factor is improper
+    # det(vt) = det(v); -1 where the factor is improper
+    for factor, sign in zip((u, v), np.sign(_det3(np.stack((u, vt))))):
         factor[..., 2] *= sign[..., None]
         s[..., 2] *= sign
     return ProperSvd(u, s, v)

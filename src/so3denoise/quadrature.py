@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .align import _cross_svd
-from .fisher import _check_sigma, _power
+from .fisher import _check_sigma, _square
 from .geom import ProperSvd, proper_svd, transpose
 
 # Tanh-sinh nodes t = k h on [-_T_MAX, _T_MAX]; h starts at _START_STEP and
@@ -150,7 +150,7 @@ def _oracle_mean(svd: ProperSvd, sigma, tol: float) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"tol must be positive and finite, got {tol}")
     u, s, v = svd
     with np.errstate(all="ignore"):  # a non-finite concentration raises below
-        s = s / _power(sigma, 2.0)[..., None]
+        s = s / _square(sigma, sigma, 2)[..., None]
     if not np.all(np.isfinite(s)):
         raise ValueError("the concentration y.T @ x / sigma**2 is not finite")
     u, s, vt = u.reshape(-1, 3, 3), s.reshape(-1, 3), transpose(v).reshape(-1, 3, 3)

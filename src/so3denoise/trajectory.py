@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geom import center
+from .geom import _count, center
 
 
 class TrajectoryFormatError(ValueError):
@@ -116,8 +116,10 @@ def synth_trajectory(n_points: int, n_frames: int, jitter: float, seed: int) -> 
 
     Frame 0 is a centered standard-normal cloud rescaled to unit RMS
     point norm; every other frame is the base cloud plus fresh Gaussian
-    jitter, re-centered.  Deterministic given the seed.
+    jitter, re-centered.  Deterministic given the seed.  Counts that are not
+    integers raise ``TypeError``.
     """
+    n_points, n_frames = _count(n_points, "n_points"), _count(n_frames, "n_frames")
     if n_points < 4:
         raise ValueError(f"need at least 4 points, got {n_points}")
     if n_frames < 1:

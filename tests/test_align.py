@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from so3denoise.align import AlignmentError, aligned_rmsd, kabsch, rmsd
+from so3denoise.align import _MSD_FLOOR, AlignmentError, _spectral_rmsd, aligned_rmsd, kabsch, rmsd
 from so3denoise.geom import center, frobenius_norm_sq, rotate, sample_haar
 
 
@@ -125,3 +129,55 @@ def test_kabsch_maximizes_trace_gain_on_dense_sample():
     sampled = sample_haar(rng, 50_000)
     gains = np.einsum("ij,nij->n", a, sampled)
     assert best_gain >= gains.max()
+
+
+@st.composite
+def spectral_pair(draw):
+    """(a, b, n): clouds of n points at a scale from 1e-100 to 1e100, b a rotated, possibly
+    reflected, noisy copy of a; planar and collinear clouds, and pairs whose cross-covariance
+    is zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 12))
+    scale = 10.0 ** draw(st.floats(-100.0, 100.0))
+    if draw(st.integers(0, 5)) == 0:  # points that never pair up as nonzero vectors
+        a, b = np.zeros((n, 3)), np.zeros((n, 3))
+        a[:2, 0] = [scale, -scale]
+        b[2:4, 1] = [-2.0 * scale, 2.0 * scale]
+        assert not (a.T @ b).any()
+        return a, b, n
+    squash = [1.0] + [draw(st.sampled_from([1.0, 0.3, 1e-4, 1e-10, 0.0])) for _ in range(2)]
+    a = center(scale * rng.standard_normal((n, 3)) * squash)
+    mirror = np.diag([1.0, 1.0, -1.0 if draw(st.booleans()) else 1.0])  # det(a.T @ b) < 0
+    noise = scale * draw(st.sampled_from([0.0, 1e-8, 1e-3, 0.3, 3.0]))
+    b = center(rotate(sample_haar(rng) @ mirror, a) + noise * rng.standard_normal(a.shape))
+    return a, b * 10.0 ** draw(st.floats(-1.0, 1.0)), n
+
+
+# the formula's rounding (at most ~9 eps seen) plus the floor below which it reads 0
+SPECTRAL_BOUND = 32 * np.finfo(float).eps
+assert _MSD_FLOOR <= SPECTRAL_BOUND / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectral_pair())
+def test_spectral_rmsd_agrees_with_kabsch_within_its_cancellation_bound(pair):
+    # |delta msd| <= 32 eps (|a|^2 + |b|^2) / N against the rotate-and-subtract path
+    a, b, n = pair
+    a_sq, b_sq = np.sum(a * a), np.sum(b * b)
+    got, want = _spectral_rmsd(a, b, b_sq), aligned_rmsd(a, b)
+    assert abs(got * got - want * want) <= SPECTRAL_BOUND * (a_sq + b_sq) / n
+    # a stack item gets the bits of its single call, its |b|^2 summed in the stack
+    stack = np.stack([b, a])
+    stacked = _spectral_rmsd(np.stack([a, b]), stack, np.sum(stack * stack, axis=(-2, -1)))
+    assert np.array_equal(stacked, [got, _spectral_rmsd(b, a, a_sq)])
+
+
+def test_spectral_rmsd_of_coinciding_clouds_is_exactly_zero():
+    rng = np.random.default_rng(11)
+    line = center(np.outer(rng.standard_normal(6), rng.standard_normal(3)))
+    clouds = [center(rng.standard_normal((n, 3))) * scale for n in (4, 8, 30) for scale in (1e-100, 1.0, 1e100)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in clouds + [line, np.zeros((5, 3))]:
+            assert _spectral_rmsd(x, x, np.sum(x * x)) == 0.0
+            assert _spectral_rmsd(rotate(sample_haar(rng), x), x, np.sum(x * x)) == 0.0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from so3denoise import diffusion
-from so3denoise.align import aligned_rmsd, rmsd
+from so3denoise.align import _spectral_rmsd, rmsd
 from so3denoise.diffusion import (
     DdimSchedule,
     MlpDenoiser,
@@ -437,7 +437,7 @@ def _reference_train(cfg, frames, probe_size=16, tol=1e-8):
         pairs = [(mlp_forward(model, y, cfg.sigma), x, r_aug) for y, x, r_aug in probe]
         return (
             float(np.mean([rmsd(p, rotate(r_aug, x)) for p, x, r_aug in pairs])),
-            float(np.mean([aligned_rmsd(p, x) for p, x, _ in pairs])),
+            float(np.mean([_spectral_rmsd(p, x, np.sum(x * x)) for p, x, _ in pairs])),
         )
 
     def features(ys):

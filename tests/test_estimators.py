@@ -287,6 +287,9 @@ def test_sweep_argument_validation(cloud):
         error_sweep(cloud, [0.1], n_noise=0, seed=0)
     with pytest.raises(ValueError, match="sigmas must be nonempty"):
         error_sweep(cloud, [], n_noise=2, seed=0)
+    with pytest.raises(TypeError, match=r"^n_noise must be an integer, got 2\.5$"):
+        error_sweep(cloud, [0.1], 2.5, 0)
+    assert error_sweep(cloud, [0.1], np.int64(1), 0) == error_sweep(cloud, [0.1], 1, 0)
     with pytest.raises(ValueError):
         error_sweep(cloud, [-0.1, 0.2], n_noise=2, seed=0)
     for bad in (np.nan, np.inf):
@@ -303,6 +306,16 @@ def test_oracle_target_rejects_a_concentration_that_is_not_finite(cloud):
     for y, x, sigma in ((cloud, cloud, 1e-170), (stack, stack, np.array([0.1, 1e-160]))):
         with pytest.raises(ValueError, match="is not finite"):
             estimator_target(EstimatorKind.ORACLE, y, x, sigma)
+
+
+def test_stacked_target_names_a_fourth_power_that_overflows(cloud):
+    # sigma**2 = 1e160 is a finite float for the second item, sigma**4 is not: the
+    # expansion names it rather than adding an infinite correction
+    stack, sigma = np.stack([cloud, cloud]), np.array([0.5, 1e80])
+    targets, keep = estimator_target(EstimatorKind.ORDER1, stack, stack, sigma)
+    assert keep.all() and np.isfinite(targets[0]).all()
+    with pytest.raises(ValueError, match=r"^1e\+80\*\*4 overflows a float$"):
+        estimator_target(EstimatorKind.ORDER2, stack, stack, sigma)
 
 
 def test_equivariance_and_conditioning_invariance_of_orders(cloud):

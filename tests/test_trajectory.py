@@ -112,6 +112,11 @@ def test_synth_trajectory_properties():
         synth_trajectory(3, 5, 0.0, seed=2)
     with pytest.raises(ValueError):
         synth_trajectory(8, 0, 0.0, seed=2)
+    for args, message in (((8, 2.5), r"^n_frames must be an integer, got 2\.5$"),
+                          ((8.0, 5), r"^n_points must be an integer, got 8\.0$")):
+        with pytest.raises(TypeError, match=message):
+            synth_trajectory(*args, 0.0, seed=2)
+    np.testing.assert_array_equal(synth_trajectory(np.int64(8), np.int64(5), 0.0, seed=2).frames, traj.frames)
 
 
 def test_frames_centered_on_load(tmp_path):
