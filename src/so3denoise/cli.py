@@ -20,8 +20,8 @@ from .align import _cross_svd, kabsch, rmsd
 from .diffusion import (DdimSchedule, TrainConfig, _walk_denoiser, ddim_sample, load_denoiser,
                         save_denoiser, train, write_metrics_csv)
 from .estimators import EstimatorKind, error_sweep, sweep_aug_anomalies, write_sweep_csv
-from .fisher import _check_sigma, _expansion
-from .geom import rotate
+from .fisher import _expansion
+from .geom import _count, _positive, rotate
 from .quadrature import _oracle_mean
 from .trajectory import Trajectory, _rms_point_norm, load_trajectory, save_trajectory
 
@@ -54,7 +54,7 @@ def _cmd_align(args) -> int:
 def _cmd_moment(args) -> int:
     traj = load_trajectory(args.input)
     x = _frame(traj, args.frame)
-    _check_sigma(args.sigma)
+    _positive(args.sigma, "sigma")
     svd = _cross_svd(x, x)  # the posterior for observing the frame itself, factored once
     if args.order == "oracle":
         moment, _ = _oracle_mean(svd, args.sigma, args.tol)
@@ -110,7 +110,7 @@ def _cmd_sample(args) -> int:
     model, _header = load_denoiser(args.model)
     sigmas = tuple(float(s) for s in args.schedule.split(",") if s.strip())
     schedule = DdimSchedule(sigmas)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_count(args.seed, "seed", 0))
     # a diverged checkpoint overflows in the walk; the finiteness check below names it
     with np.errstate(over="ignore", invalid="ignore"):
         cloud = ddim_sample(_walk_denoiser(model), schedule, model.n_points, rng)

@@ -23,8 +23,7 @@ import numpy as np
 
 from .align import _spectral_rmsd, rmsd
 from .estimators import EstimatorKind, _write_csv, estimator_target
-from .fisher import _check_sigma
-from .geom import _count, _noised, center, rotate
+from .geom import _count, _noised, _positive, center, rotate
 from .trajectory import _rms_point_norm
 
 # cap on the points (steps x batch x N) a training block draws and scores at once
@@ -67,6 +66,9 @@ class MlpDenoiser:
     b2: np.ndarray = field(init=False, repr=False)  # (3n,)
 
     def __post_init__(self):
+        for name in ("n_points", "hidden"):  # numpy ints and bools become plain ints
+            object.__setattr__(self, name, _count(getattr(self, name), name, 1))
+        object.__setattr__(self, "s_ref", float(self.s_ref))  # a plain float, which json writes
         count = _param_count(self.n_points, self.hidden)
         if self.theta.shape != (count,):
             raise ValueError(f"theta has shape {self.theta.shape}; n_points={self.n_points} and "
@@ -81,7 +83,8 @@ class MlpDenoiser:
     def initialize(
         cls, n_points: int, hidden: int, s_ref: float, rng: np.random.Generator
     ) -> "MlpDenoiser":
-        model = cls(np.zeros(_param_count(n_points, hidden)), hidden, n_points, float(s_ref))
+        n_points, hidden = _count(n_points, "n_points", 1), _count(hidden, "hidden", 1)
+        model = cls(np.zeros(_param_count(n_points, hidden)), hidden, n_points, s_ref)
         model.w1[...] = rng.standard_normal(model.w1.shape) / np.sqrt(model.w1.shape[1])
         model.w2[...] = rng.standard_normal(model.w2.shape) / np.sqrt(hidden)
         return model
@@ -107,14 +110,11 @@ class TrainConfig:
     hidden: int = 64
 
     def __post_init__(self):
-        for name in ("steps", "batch", "hidden"):  # numpy ints and bools become plain ints
-            object.__setattr__(self, name, _count(getattr(self, name), name))
-        if not (np.isfinite(self.sigma) and np.isfinite(self.lr)):
-            raise ValueError(f"sigma and lr must be finite, got {self.sigma} and {self.lr}")
-        if self.sigma <= 0 or self.lr <= 0 or self.batch < 1 or self.hidden < 1:
-            raise ValueError("sigma, lr, batch and hidden must be positive")
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
+        for name, least in (("steps", 0), ("batch", 1), ("seed", 0), ("hidden", 1)):  # made plain ints
+            object.__setattr__(self, name, _count(getattr(self, name), name, least))
+        for name in ("sigma", "lr"):
+            _positive(getattr(self, name), name)
+            object.__setattr__(self, name, float(getattr(self, name)))  # a plain float, which json writes
         if self.dataset_mode not in ("all-frames", "single-frame"):
             raise ValueError(f"unknown dataset_mode {self.dataset_mode!r}")
         object.__setattr__(self, "estimator", EstimatorKind(self.estimator))
@@ -212,7 +212,7 @@ def mlp_forward(m: MlpDenoiser, y: np.ndarray, sigma: float) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.ndim not in (2, 3) or y.shape[-2:] != (m.n_points, 3):
         raise ValueError(f"expected shape {(m.n_points, 3)} or a stack of it, got {y.shape}")
-    _check_sigma(sigma)
+    _positive(sigma, "sigma")
     ys = y[..., None, :, :]
     feats = _features(m, ys, sigma)
     out = _mlp(m, feats, np.empty(feats.shape[:-1] + (m.hidden,)), np.empty(ys.shape))()
@@ -467,7 +467,8 @@ def write_metrics_csv(metrics: list[StepMetrics], path) -> None:
 def save_denoiser(model: MlpDenoiser, path, config: TrainConfig | None = None) -> None:
     """Write a checkpoint: one JSON header line, then ``theta`` as little-endian f64.
 
-    The header's ``seed`` is the config's, or null without a config.
+    The header's ``seed`` is the config's, or null without a config.  The whole file is
+    made before ``path`` is opened, so a header json cannot write leaves ``path`` as it was.
     """
     header = {
         "n_points": model.n_points,
@@ -476,19 +477,24 @@ def save_denoiser(model: MlpDenoiser, path, config: TrainConfig | None = None) -
         "seed": None if config is None else config.seed,
         "config": None if config is None else asdict(config),  # json writes the str enum as its value
     }
+    data = json.dumps(header).encode("utf-8") + b"\n" + model.theta.astype("<f8", copy=False).tobytes()
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n" + model.theta.astype("<f8", copy=False).tobytes())
+        fh.write(data)
 
 
 def load_denoiser(path) -> tuple[MlpDenoiser, dict]:
     """Read a checkpoint back; returns the model and its JSON header.
 
-    A missing or invalid ``n_points``, ``hidden`` or ``s_ref`` raises ``ValueError``,
-    and so does a parameter block shorter or longer than the header's sizes promise.
+    A first line that is not UTF-8 JSON, a missing or invalid ``n_points``, ``hidden`` or
+    ``s_ref`` and a parameter block shorter or longer than the header's sizes promise raise
+    ``ValueError`` naming the file.
     """
     with open(path, "rb") as fh:
         line, _, block = fh.read().partition(b"\n")
-    header = json.loads(line.decode("utf-8"))
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise ValueError(f"checkpoint {path}: header is not UTF-8 JSON ({exc})") from None
     for key, types in (("n_points", (int,)), ("hidden", (int,)), ("s_ref", (int, float))):
         if not isinstance(header, dict) or key not in header:
             raise ValueError(f"checkpoint {path}: header has no {key!r}")

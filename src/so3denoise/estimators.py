@@ -28,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .align import _cross_svd, _degenerate
-from .fisher import _check_sigma, _expansion
-from .geom import _count, _noised, rotate, transpose
+from .fisher import _expansion
+from .geom import _count, _noised, _positive, rotate, transpose
 from .quadrature import _oracle_mean
 
 SWEEP_CSV_HEADER = ["sigma", "kind", "mean_mse", "stderr", "n_samples", "n_excluded", "seed"]
@@ -98,7 +98,7 @@ def estimator_target(
         raise ValueError("r_aug must be given for AUG and only for AUG")
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    _check_sigma(sigma, y.shape[:-2])
+    _positive(sigma, "sigma", y.shape[:-2])
     if kind is EstimatorKind.AUG:
         targets, keep = rotate(r_aug, x), np.ones(y.shape[:-2], dtype=bool)
     else:
@@ -146,16 +146,15 @@ def error_sweep(
     every noise level, each item with its own sigma.  The oracle and
     ORDER0, ORDER1 and ORDER2 share one proper SVD of the stacked
     ``y.T @ x``: one factorization per sweep.  Degenerate alignments warn
-    once per sweep.  An ``n_noise`` that is not an integer raises ``TypeError``.
+    once per sweep.  An ``n_noise`` below 1, a negative ``seed`` or either not an
+    integer raises, naming it.
     """
     x = np.asarray(x, dtype=float)
-    n_noise = _count(n_noise, "n_noise")
-    if n_noise < 1:
-        raise ValueError(f"n_noise must be >= 1, got {n_noise}")
+    n_noise, seed = _count(n_noise, "n_noise", 1), _count(seed, "seed", 0)
     sig = [float(s) for s in sigmas]
     if not sig:
         raise ValueError("sigmas must be nonempty")
-    _check_sigma(np.array(sig), (len(sig),))
+    _positive(sig, "sigma", (len(sig),))
     if any(a >= b for a, b in zip(sig, sig[1:])):
         raise ValueError("sigmas must be strictly ascending")
 

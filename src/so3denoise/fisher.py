@@ -14,12 +14,11 @@ provides the independent numerical reference.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .geom import ProperSvd, proper_svd, transpose
+from .geom import ProperSvd, _positive, proper_svd, transpose
 
 
 class ExpansionSingularError(ValueError):
@@ -28,16 +27,6 @@ class ExpansionSingularError(ValueError):
     Happens when the observed pair is nearly planar-degenerate; callers
     should fall back to the order-0 estimate or to quadrature.
     """
-
-
-def _check_sigma(sigma: float | np.ndarray, shape: tuple[int, ...] = ()) -> None:
-    """Reject noise levels that are not positive and finite (NaN included);
-    an array of per-item levels must have the stack's leading ``shape``."""
-    s = np.asarray(sigma, dtype=float)
-    if s.ndim and s.shape != shape:
-        raise ValueError(f"sigma of shape {s.shape} does not match the stack's {shape}")
-    if not ((0 < s) & (s < math.inf)).all():
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
 # entry i of the sums leaves out s_i; entry i of c1, c2 combines the other two sums
@@ -155,7 +144,7 @@ def mf_mean_laplace(
     ``sigma**4``) too large for a float raises ``ValueError``.
     """
     a = np.asarray(a, dtype=float)
-    _check_sigma(sigma, a.shape[:-2])
+    _positive(sigma, "sigma", a.shape[:-2])
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
     mean, singular = _expansion(proper_svd(a), sigma, order)

@@ -100,13 +100,26 @@ def _noised(xs: np.ndarray, q: np.ndarray, eta: np.ndarray | None, sigma):
     return center(z + sigma * eta), r_aug
 
 
-def _count(value, name: str) -> int:
-    """``value`` as a plain int (numpy ints and bools too); anything else raises a
-    ``TypeError`` naming the argument ``name``."""
+def _count(value, name: str, least: int) -> int:
+    """``value`` as a plain int (numpy ints and bools too) of at least ``least``; anything
+    else raises a ``TypeError`` or ``ValueError`` naming the argument ``name``."""
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
+    return count
+
+
+def _positive(value, name: str, shape: tuple[int, ...] = ()) -> None:
+    """Reject levels ``value`` that are not positive and finite (NaN included), naming the
+    argument ``name``; an array of per-item levels must have the stack's leading ``shape``."""
+    s = np.asarray(value, dtype=float)
+    if s.ndim and s.shape != shape:
+        raise ValueError(f"{name} of shape {s.shape} does not match the stack's {shape}")
+    if not ((0 < s) & (s < np.inf)).all():
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def sample_haar(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -115,9 +128,9 @@ def sample_haar(rng: np.random.Generator, size: int | None = None) -> np.ndarray
     A unit quaternion is sampled uniformly on S^3 (four independent
     standard normals, normalized) and converted to a matrix.  With
     ``size=None`` returns a single ``(3, 3)`` matrix, otherwise
-    ``(size, 3, 3)``; a ``size`` that is not an integer raises ``TypeError``.
+    ``(size, 3, 3)``; a negative ``size`` or one that is not an integer raises.
     """
-    n = 1 if size is None else _count(size, "size")
+    n = 1 if size is None else _count(size, "size", 0)
     m = haar_from_normals(rng.standard_normal((n, 4)))
     return m[0] if size is None else m
 

@@ -36,8 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .align import _cross_svd
-from .fisher import _check_sigma, _square
-from .geom import ProperSvd, proper_svd, transpose
+from .fisher import _square
+from .geom import ProperSvd, _count, _positive, proper_svd, transpose
 
 # Tanh-sinh nodes t = k h on [-_T_MAX, _T_MAX]; h starts at _START_STEP and
 # halves at most _MAX_HALVINGS times, so a converged result has >= 225 nodes.
@@ -79,8 +79,7 @@ def _plane_rotation(angles: np.ndarray, i: int, j: int) -> np.ndarray:
 
 def so3_grid_global(n: int) -> So3Grid:
     """ZYZ Euler product grid with n nodes per axis (n^3 total)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2 nodes per axis, got {n}")
+    n = _count(n, "n", 2)
     azimuth = 2.0 * np.pi * np.arange(n) / n
     u, gl_w = np.polynomial.legendre.leggauss(n)
     rot_z, rot_y = _plane_rotation(azimuth, 0, 1), _plane_rotation(np.arccos(u), 2, 0)
@@ -146,8 +145,7 @@ def _oracle_mean(svd: ProperSvd, sigma, tol: float) -> tuple[np.ndarray, np.ndar
     """``mf_mean_quadrature`` of ``u diag(s / sigma**2) v.T`` for the proper SVD of ``y.T @ x``
     and one ``sigma`` or one per item, scaled item by item as in ``fisher._expansion``; returns
     the means and the mask of items that did not converge (a single one raises)."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _positive(tol, "tol")
     u, s, v = svd
     with np.errstate(all="ignore"):  # a non-finite concentration raises below
         s = s / _square(sigma, sigma, 2)[..., None]
@@ -206,6 +204,6 @@ def oracle_conditional_denoiser(
     The mean over the rotation posterior MF(y.T x / sigma^2) is not a rotation,
     but acts on coordinates the same way: the ORACLE ``estimator_target``.
     """
-    _check_sigma(sigma)
+    _positive(sigma, "sigma")
     mean, _ = _oracle_mean(_cross_svd(y, x), sigma, tol)
     return np.asarray(x, dtype=float) @ transpose(mean)

@@ -50,11 +50,15 @@ def load_trajectory(path) -> Trajectory:
     """Parse a multi-frame XYZ file; frames are centered and the scale computed.
 
     Malformed lines, including ``nan`` or ``inf`` coordinates, raise
-    ``TrajectoryFormatError`` naming the file and line.
+    ``TrajectoryFormatError`` naming the file and line; a file that is not
+    UTF-8 raises it naming the file.
     """
     path = Path(path)
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise TrajectoryFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
     frames: list[np.ndarray] = []
     i = 0
@@ -103,8 +107,8 @@ def load_trajectory(path) -> Trajectory:
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    """Write frames as XYZ, every point labelled ``P``, at full float64 round-trip precision."""
-    with open(path, "w", newline="\n") as fh:
+    """Write frames as UTF-8 XYZ, every point labelled ``P``, at full float64 round-trip precision."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for idx in range(traj.n_frames):
             fh.write(f"{traj.n_points}\n{traj.name} frame {idx}\n")
             for p in traj.frames[idx]:
@@ -116,15 +120,13 @@ def synth_trajectory(n_points: int, n_frames: int, jitter: float, seed: int) -> 
 
     Frame 0 is a centered standard-normal cloud rescaled to unit RMS
     point norm; every other frame is the base cloud plus fresh Gaussian
-    jitter, re-centered.  Deterministic given the seed.  Counts that are not
-    integers raise ``TypeError``.
+    jitter, re-centered.  Deterministic given the seed.  Bad counts, a bad
+    seed and a ``jitter`` that is not finite raise, naming the argument.
     """
-    n_points, n_frames = _count(n_points, "n_points"), _count(n_frames, "n_frames")
-    if n_points < 4:
-        raise ValueError(f"need at least 4 points, got {n_points}")
-    if n_frames < 1:
-        raise ValueError(f"need at least 1 frame, got {n_frames}")
-    rng = np.random.default_rng(seed)
+    n_points, n_frames = _count(n_points, "n_points", 4), _count(n_frames, "n_frames", 1)
+    if not math.isfinite(jitter):
+        raise ValueError(f"jitter must be finite, got {jitter}")
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     base = center(rng.standard_normal((n_points, 3)))
     base /= _rms_point_norm(base)
     frames = [base]

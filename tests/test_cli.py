@@ -246,14 +246,21 @@ def test_sample_from_a_checkpoint_longer_than_its_header_exits_1(capsys, tmp_pat
         (lambda h: {k: v for k, v in h.items() if k != "n_points"}, "header has no 'n_points'"),
         (lambda h: h | {"s_ref": float("nan")}, "header 's_ref' must be positive and finite, got nan"),
         (lambda h: [h], "header has no 'n_points'"),
+        (lambda h: b"", "header is not UTF-8 JSON (Expecting value: line 1 column 1 (char 0))"),
+        (lambda h: b'{"n_points": 8', "header is not UTF-8 JSON (Expecting ',' delimiter: "
+         "line 1 column 15 (char 14))"),
+        (lambda h: b"\xff" + json.dumps(h).encode(), "header is not UTF-8 JSON ('utf-8' codec can't decode "
+         "byte 0xff in position 0: invalid start byte)"),
     ],
-    ids=["zero-sizes", "negative-hidden", "missing-n-points", "nan-s-ref", "not-an-object"],
+    ids=["zero-sizes", "negative-hidden", "missing-n-points", "nan-s-ref", "not-an-object", "empty-line",
+         "unterminated-object", "not-utf-8"],
 )
 def test_sample_from_an_invalid_checkpoint_header_exits_1(capsys, tmp_path, edit, message):
     model, out = tmp_path / "model.bin", tmp_path / "s.xyz"
     save_denoiser(MlpDenoiser.initialize(8, 4, 1.0, np.random.default_rng(0)), model)
     line, _, block = model.read_bytes().partition(b"\n")
-    model.write_bytes(json.dumps(edit(json.loads(line))).encode() + b"\n" + block)
+    header = edit(json.loads(line))  # a header, or the raw bytes of a first line
+    model.write_bytes((header if isinstance(header, bytes) else json.dumps(header).encode()) + b"\n" + block)
     assert main(["sample", "--model", str(model), "--schedule", "1,0", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
@@ -514,6 +521,17 @@ def test_selftest_reports_a_raising_check_and_runs_the_rest(capsys, monkeypatch)
     out = capsys.readouterr().out.splitlines()
     assert out == ["ok   first", "FAIL raises: ValueError: no such spectrum", "ok   last",
                    "2/3 checks passed"]
+
+
+def test_selftest_reports_a_failing_check_and_runs_the_rest(capsys, monkeypatch):
+    def failing(fast):
+        so3denoise.selftest._require(False, "c1 spot values")
+
+    checks = [("first", lambda fast: None), ("fails", failing), ("last", lambda fast: None)]
+    monkeypatch.setattr(so3denoise.selftest, "_CHECKS", checks)
+    assert main(["selftest", "--fast"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["ok   first", "FAIL fails: c1 spot values", "ok   last", "2/3 checks passed"]
 
 
 _NO_SCIPY_SCRIPT = """

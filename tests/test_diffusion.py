@@ -1,5 +1,5 @@
 import csv
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 import pytest
@@ -244,12 +244,12 @@ def test_train_config_rejects_non_finite(field, value):
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("sigma", 0.0, "sigma, lr, batch and hidden must be positive"),
-        ("sigma", -0.5, "sigma, lr, batch and hidden must be positive"),
-        ("lr", 0.0, "sigma, lr, batch and hidden must be positive"),
-        ("batch", 0, "sigma, lr, batch and hidden must be positive"),
-        ("hidden", 0, "sigma, lr, batch and hidden must be positive"),
-        ("steps", -1, "steps must be non-negative"),
+        ("sigma", 0.0, "sigma must be positive and finite, got 0.0"),
+        ("sigma", -0.5, "sigma must be positive and finite, got -0.5"),
+        ("lr", 0.0, "lr must be positive and finite, got 0.0"),
+        ("batch", 0, "batch must be >= 1, got 0"),
+        ("hidden", 0, "hidden must be >= 1, got 0"),
+        ("steps", -1, "steps must be >= 0, got -1"),
         ("dataset_mode", "every-frame", "unknown dataset_mode 'every-frame'"),
         ("batch", 2.5, "batch must be an integer, got 2.5"),
         ("hidden", 3.5, "hidden must be an integer, got 3.5"),
@@ -374,6 +374,30 @@ def test_loaded_parameters_are_writable_and_own_their_data(tmp_path, traj):
     for name in ("w1", "b1", "w2", "b2"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name) + 1.0)
         np.testing.assert_array_equal(getattr(again, name), getattr(model, name))
+
+
+def test_checkpoint_of_numpy_scalars_is_the_checkpoint_of_plain_ones(tmp_path, traj):
+    model = MlpDenoiser.initialize(8, 4, traj.scale, np.random.default_rng(15))
+    numpy_model = MlpDenoiser(model.theta, np.int64(4), np.int64(8), np.float64(traj.scale))
+    save_denoiser(model, tmp_path / "plain.bin", TrainConfig(0.5, "order0", 3, seed=1))
+    save_denoiser(numpy_model, tmp_path / "numpy.bin",
+                  TrainConfig(np.float32(0.5), "order0", np.int64(3), seed=np.int64(1), lr=np.float64(1e-3)))
+    assert (tmp_path / "numpy.bin").read_bytes() == (tmp_path / "plain.bin").read_bytes()
+
+
+def test_a_save_that_fails_keeps_the_existing_checkpoint(tmp_path, traj):
+    @dataclass(frozen=True)
+    class Unwritable:  # a config with a field json cannot write
+        seed: int = 0
+        tag: object = field(default_factory=object)
+
+    path = tmp_path / "model.bin"
+    model = MlpDenoiser.initialize(8, 4, traj.scale, np.random.default_rng(15))
+    save_denoiser(model, path, TrainConfig(0.5, "order0", 3))
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_denoiser(model, path, Unwritable())
+    assert path.read_bytes() == before
 
 
 def test_truncated_checkpoint_raises_naming_the_file(tmp_path, traj):
@@ -553,6 +577,24 @@ def test_train_non_finite_loss_exit_matches_per_sample_loop(monkeypatch, tmp_pat
     assert want.status == "diverged" and want.diverged_at == {1: 1, 2: 2, 3: 6}[seed]
     assert (got.status, got.diverged_at) == (want.status, want.diverged_at)
     assert np.isfinite(got.model.theta).all()
+    assert repr(got.metrics) == repr(want.metrics)
+    assert _same_checkpoint(tmp_path, cfg, got, want)
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("kind", ["aug", "order0", "order2"])
+def test_train_non_finite_theta_exit_matches_per_sample_loop(monkeypatch, tmp_path, traj, kind, block):
+    # at ten times the trajectory's scale some gradient of step 1 exceeds 1.8, so lr 1e308
+    # times it overflows theta in Adam's update while the step's loss is finite
+    frames = 10.0 * traj.frames
+    cfg = TrainConfig(sigma=0.5, estimator=kind, steps=20, batch=8, seed=11, lr=1e308)
+    if block is not None:
+        _use_blocks_of(monkeypatch, block, cfg, frames)
+    got = train(cfg, frames)  # warns nothing: an overflow is reported through the status
+    want = _reference_train(cfg, frames)
+    assert want.status == "diverged" and want.diverged_at == 1
+    assert (got.status, got.diverged_at) == (want.status, want.diverged_at)
+    assert len(got.metrics) == 1 and not np.isfinite(got.model.theta).all()
     assert repr(got.metrics) == repr(want.metrics)
     assert _same_checkpoint(tmp_path, cfg, got, want)
 

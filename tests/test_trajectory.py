@@ -52,11 +52,12 @@ def test_non_finite_coordinate_reports_line_number(tmp_path, value):
         ("0\nt\n", "bad.xyz:1: point count must be >= 1"),
         ("-2\nt\nA 1 0 0\nA -1 0 0\n", "bad.xyz:1: point count must be >= 1"),
         ("2\nt\nA 1 0\nA -1 0 0\n", "bad.xyz:3: expected 'LABEL x y z', got 'A 1 0'"),
+        ("2\nt\n\xc5 1 0 0\nA -1 0 0\n", "bad.xyz: not UTF-8 text (invalid continuation byte at byte 4)"),
     ],
 )
 def test_malformed_count_or_row_reports_line_number(tmp_path, text, message):
     path = tmp_path / "bad.xyz"
-    path.write_text(text)
+    path.write_text(text, encoding="latin-1")  # a label of U+00C5 is one byte, which UTF-8 cannot start
     with pytest.raises(TrajectoryFormatError, match=re.escape(message)):
         load_trajectory(path)
 
@@ -117,6 +118,9 @@ def test_synth_trajectory_properties():
         with pytest.raises(TypeError, match=message):
             synth_trajectory(*args, 0.0, seed=2)
     np.testing.assert_array_equal(synth_trajectory(np.int64(8), np.int64(5), 0.0, seed=2).frames, traj.frames)
+    for jitter in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=rf"^jitter must be finite, got {jitter}$"):
+            synth_trajectory(8, 5, jitter, seed=2)
 
 
 def test_frames_centered_on_load(tmp_path):
