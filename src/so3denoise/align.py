@@ -88,13 +88,16 @@ def _spectral_rmsd(a: np.ndarray, b: np.ndarray, b_sq: float | np.ndarray) -> np
     determinant of ``a.T @ b`` and ``b_sq`` = |b|^2, per cloud.  The formula cancels: it is
     off by about eps (|a|^2 + |b|^2) / N, so a mean square below ``_MSD_FLOOR`` times that is
     clipped to 0, and the RMSD of clouds that nearly coincide is good only to about sqrt(eps)
-    times their scale.  ``aligned_rmsd`` rotates and subtracts instead.
+    times their scale.  ``aligned_rmsd`` rotates and subtracts instead.  A pair whose
+    ``a.T @ b`` is not finite (an overflowing prediction, say) reads NaN, without an SVD.
     """
     m = transpose(a) @ b
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    m = np.where(finite[..., None, None], m, 0.0)  # LAPACK's SVD does not converge on inf or NaN
     s = np.linalg.svd(m, compute_uv=False)
     # the determinant of the matrix scaled by s1, which can neither overflow nor underflow to 0
     # unless s3 is negligible; 0 / tiny keeps a zero matrix's determinant 0
     det = _det3(m / np.maximum(s[..., :1, None], np.finfo(float).tiny))
     total = np.sum(a * a, axis=(-2, -1)) + b_sq
     ssd = total - 2.0 * (s[..., 0] + s[..., 1] + np.copysign(s[..., 2], det))  # N times the mean square
-    return np.sqrt(np.where(ssd < _MSD_FLOOR * total, 0.0, ssd) / a.shape[-2])
+    return np.sqrt(np.where(finite, np.where(ssd < _MSD_FLOOR * total, 0.0, ssd), np.nan) / a.shape[-2])

@@ -135,12 +135,13 @@ class DdimSchedule:
     sigmas: tuple[float, ...]
 
     def __post_init__(self):
-        sig = tuple(float(s) for s in self.sigmas)
-        if not np.all(np.isfinite(sig)):
+        levels = np.fromiter(self.sigmas, float)  # the one array both value checks read
+        sig = tuple(levels.tolist())
+        if not np.isfinite(levels).all():
             raise ValueError(f"schedule noise levels must be finite, got {sig}")
         if len(sig) < 2 or sig[0] <= 0 or sig[-1] != 0.0:
             raise ValueError("schedule needs sigma_M > ... > sigma_0 = 0")
-        if any(a <= b for a, b in zip(sig, sig[1:])):
+        if not (levels[:-1] > levels[1:]).all():
             raise ValueError("schedule must be strictly descending")
         object.__setattr__(self, "sigmas", sig)
 
@@ -179,25 +180,29 @@ def _mlp(
     activations ``(..., hidden)`` and ``pred`` the re-centered prediction
     ``(..., n, 3)``; ``pred`` is C-contiguous, so that its flat rows
     ``(..., 3n)`` are a view of it.  The returned call reads ``feats`` as
-    it is then, writes ``hidden`` and ``pred`` in place with ``out=`` and
-    returns ``pred``.  It allocates nothing; the centroid buffer and the
-    transposed weight views are made once, here.
+    it is then, writes ``hidden`` and ``pred`` in place and returns ``pred``.
+    It allocates nothing; buffers, weight views and ufuncs are bound once,
+    here.  Rows multiply with ``np.dot``, ``np.matmul``'s BLAS call for less;
+    a stack keeps ``np.matmul``, which ``np.dot`` would make other bits.
     """
     w1t, b1, w2t, b2 = m.w1.T, m.b1, m.w2.T, m.b2
     flat = pred.reshape(pred.shape[:-2] + (-1,))
     centroid = np.empty(pred.shape[:-2] + (1, 3))
+    sums = centroid[..., 0, :]  # the centroid without its kept axis, the reduction's out
     n = pred.shape[-2]
+    product = np.dot if feats.ndim <= 2 else np.matmul
+    add, tanh, reduce, divide, subtract = np.add, np.tanh, np.add.reduce, np.divide, np.subtract
 
     def forward() -> np.ndarray:
-        np.matmul(feats, w1t, out=hidden)
-        np.add(hidden, b1, out=hidden)
-        np.tanh(hidden, out=hidden)
-        np.matmul(hidden, w2t, out=flat)
-        np.add(flat, b2, out=flat)
+        product(feats, w1t, hidden)
+        add(hidden, b1, hidden)
+        tanh(hidden, hidden)
+        product(hidden, w2t, flat)
+        add(flat, b2, flat)
         # ``geom.center``'s sum and division, in place
-        np.add.reduce(pred, axis=-2, keepdims=True, out=centroid)
-        np.divide(centroid, n, out=centroid)
-        return np.subtract(pred, centroid, out=pred)
+        reduce(pred, -2, None, sums)
+        divide(centroid, n, centroid)
+        return subtract(pred, centroid, pred)
 
     return forward
 
@@ -235,10 +240,11 @@ def _walk_denoiser(m: MlpDenoiser) -> Callable[[np.ndarray, float], np.ndarray]:
     coords = row[:-2].reshape(m.n_points, 3)
     log_sigma = row[-2:-1]
     forward = _mlp(m, row, np.empty(m.hidden), np.empty((m.n_points, 3)))
+    divide, log = np.divide, np.log
 
     def denoise(y: np.ndarray, sigma: float) -> np.ndarray:
-        np.divide(y, s_ref, out=coords)
-        np.log(sigma, out=log_sigma)
+        divide(y, s_ref, coords)
+        log(sigma, log_sigma)
         return forward()
 
     return denoise
@@ -450,10 +456,11 @@ def ddim_sample(
     sig = schedule.sigmas
     y = center(sig[0] * rng.standard_normal((n_points, 3)))
     step = np.empty_like(y)
+    subtract, multiply, add = np.subtract, np.multiply, np.add
     for s_hi, s_lo in zip(sig, sig[1:]):
-        np.subtract(denoiser(y, s_hi), y, out=step)
-        np.multiply(step, 1.0 - s_lo / s_hi, out=step)
-        np.add(y, step, out=y)
+        subtract(denoiser(y, s_hi), y, step)
+        multiply(step, 1.0 - s_lo / s_hi, step)
+        add(y, step, y)
     return y
 
 

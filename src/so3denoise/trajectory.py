@@ -107,12 +107,14 @@ def load_trajectory(path) -> Trajectory:
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    """Write frames as UTF-8 XYZ, every point labelled ``P``, at full float64 round-trip precision."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for idx in range(traj.n_frames):
-            fh.write(f"{traj.n_points}\n{traj.name} frame {idx}\n")
-            for p in traj.frames[idx]:
-                fh.write(f"P {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+    """Write frames as UTF-8 XYZ, every point labelled ``P``, at full float64 round-trip precision.
+
+    The file is made before ``path`` is opened, so a save that fails leaves ``path`` as it was."""
+    point = "P {:.17g} {:.17g} {:.17g}\n".format
+    data = "".join(f"{traj.n_points}\n{traj.name} frame {idx}\n" + "".join([point(*p) for p in frame])
+                   for idx, frame in enumerate(traj.frames.tolist())).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def synth_trajectory(n_points: int, n_frames: int, jitter: float, seed: int) -> Trajectory:

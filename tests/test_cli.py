@@ -185,6 +185,24 @@ def test_train_divergence_prints_valid_json(capsys, tmp_path, traj_path):
     assert payload["final"]["rmsd"] is None and payload["final"]["aligned_rmsd"] is None
 
 
+def test_train_with_an_overflowing_probe_reports_divergence(capsys, tmp_path):
+    # lr 1e308 leaves theta finite after step 1 but overflows the probe predictions
+    data, metrics, model = tmp_path / "synth.xyz", tmp_path / "m.csv", tmp_path / "t.bin"
+    save_trajectory(synth_trajectory(8, 20, 0.1, seed=7), data)
+    code, payload = run_json(
+        capsys,
+        ["train", "--input", str(data), "--sigma", "0.5", "--estimator", "order0", "--steps", "20",
+         "--batch", "8", "--seed", "11", "--lr", "1e308",
+         "--out-metrics", str(metrics), "--out-model", str(model)],
+    )
+    assert code == 0
+    assert (payload["status"], payload["diverged_at"], payload["steps_recorded"]) == ("diverged", 2, 2)
+    assert payload["final"]["rmsd"] is None and payload["final"]["aligned_rmsd"] is None
+    assert metrics.read_text().splitlines()[2].endswith(",nan,nan,0")
+    saved, header = load_denoiser(model)
+    assert header["config"]["lr"] == 1e308 and np.isfinite(saved.theta).all()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sample_from_a_diverged_checkpoint_exits_1(capsys, tmp_path, traj_path):
     # training diverges at step 2 and saves parameters near 1e200, whose walk overflows

@@ -599,6 +599,42 @@ def test_train_non_finite_theta_exit_matches_per_sample_loop(monkeypatch, tmp_pa
     assert _same_checkpoint(tmp_path, cfg, got, want)
 
 
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("kind", ["aug", "order0", "order1", "order2"])
+@pytest.mark.parametrize("shape", ["traj", "bench"])
+def test_train_overflowing_probe_exit_matches_per_sample_loop(monkeypatch, tmp_path, traj, kind, block,
+                                                              shape):
+    # at the trajectory's own scale lr 1e308 leaves theta finite after step 1, but the probe
+    # predictions overflow: step 1's row reads NaN metrics (no SVD of a non-finite matrix)
+    # and step 2's loss is not finite
+    frames, batch = (traj.frames, 8) if shape == "traj" else (synth_trajectory(8, 64, 0.05, seed=4).frames, 32)
+    cfg = TrainConfig(sigma=0.5, estimator=kind, steps=20, batch=batch, seed=11, lr=1e308)
+    if block is not None:
+        _use_blocks_of(monkeypatch, block, cfg, frames)
+    got = train(cfg, frames)  # warns nothing: an overflow is reported through the status
+    want = _reference_train(cfg, frames)
+    assert want.status == "diverged" and want.diverged_at == 2
+    assert (got.status, got.diverged_at) == (want.status, want.diverged_at)
+    assert np.isfinite(got.model.theta).all()
+    assert len(got.metrics) == 2 and np.isnan(got.metrics[1].rmsd) and np.isnan(got.metrics[1].aligned_rmsd)
+    assert repr(got.metrics) == repr(want.metrics)
+    assert _same_checkpoint(tmp_path, cfg, got, want)
+
+
+def test_spectral_rmsd_of_a_non_finite_pair_is_nan_and_leaves_the_others():
+    rng = np.random.default_rng(30)
+    a, b = rng.standard_normal((5, 8, 3)), rng.standard_normal((8, 3))
+    want = _spectral_rmsd(a, b, np.sum(b * b))
+    bad = a.copy()
+    bad[1] = 1e308 * np.sign(b)  # finite coordinates whose a.T @ b overflows
+    bad[3, 2, 0] = np.nan
+    with np.errstate(over="ignore"):  # a.T @ b and |a|^2 of pair 1 overflow
+        assert not np.isfinite(bad[1].T @ b).all()
+        got = _spectral_rmsd(bad, b, np.sum(b * b))
+    assert np.isnan(got[[1, 3]]).all()
+    assert np.array_equal(got[[0, 2, 4]], want[[0, 2, 4]])
+
+
 def test_train_all_excluded_exit_mid_block_matches_per_sample_loop(monkeypatch, tmp_path, traj):
     # batch 1 over a generic and a collinear frame: the step that draws the collinear
     # frame has its only order-2 target expansion-singular, in the second block here
@@ -714,6 +750,111 @@ def test_sample_walk_is_bit_for_bit_the_mlp_forward_walk(n_points, hidden, train
     reference = _reference_walk(lambda y, s: mlp_forward(m, y, s), schedule, n_points,
                                 np.random.default_rng(seed))
     assert np.array_equal(walked, reference)
+
+
+def _reference_mlp(m, feats):
+    """``_mlp``'s body as it was written with ``np.matmul`` and a kept-axis centroid:
+    (prediction, hidden activations) of feature rows ``(..., 3n + 2)``."""
+    hidden = np.empty(feats.shape[:-1] + (m.hidden,))
+    pred = np.empty(feats.shape[:-1] + (m.n_points, 3))
+    flat = pred.reshape(feats.shape[:-1] + (-1,))
+    np.matmul(feats, m.w1.T, out=hidden)
+    np.add(hidden, m.b1, out=hidden)
+    np.tanh(hidden, out=hidden)
+    np.matmul(hidden, m.w2.T, out=flat)
+    np.add(flat, m.b2, out=flat)
+    centroid = np.add.reduce(pred, axis=-2, keepdims=True)
+    np.divide(centroid, m.n_points, out=centroid)
+    return np.subtract(pred, centroid, out=pred), hidden
+
+
+def _random_model(n_points, hidden, trained_steps, seed):
+    """An initialized model with random biases, or one trained for ``trained_steps`` steps."""
+    data = synth_trajectory(n_points, 3, 0.1, seed=seed % 1000)
+    if trained_steps:
+        cfg = TrainConfig(sigma=0.5, estimator=EstimatorKind.ORDER0, steps=trained_steps, batch=4,
+                          lr=0.05, seed=seed % 1000, hidden=hidden)
+        return train(cfg, data.frames).model
+    rng = np.random.default_rng(seed)
+    m = MlpDenoiser.initialize(n_points, hidden, data.scale, rng)
+    m.b1[:] = rng.standard_normal(hidden)
+    m.b2[:] = rng.standard_normal(3 * n_points)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_points=st.integers(4, 16),
+    hidden=st.integers(1, 64),
+    trained_steps=st.integers(0, 3),
+    lead=st.sampled_from([(), (1,), (5,), (32,), (1, 1), (16, 1), (3, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mlp_is_bit_for_bit_the_matmul_body(n_points, hidden, trained_steps, lead, seed):
+    # 1-D rows (the walk), matrices (mlp_forward's single row, a training batch) and
+    # stacks of rows (the probe) against the np.matmul form with a kept-axis centroid
+    m = _random_model(n_points, hidden, trained_steps, seed)
+    feats = np.random.default_rng(seed).standard_normal(lead + (3 * n_points + 2,))
+    hidden_out, pred = np.empty(lead + (hidden,)), np.empty(lead + (n_points, 3))
+    got = diffusion._mlp(m, feats, hidden_out, pred)()
+    want, want_hidden = _reference_mlp(m, feats)
+    assert got is pred
+    assert np.array_equal(got, want) and np.array_equal(hidden_out, want_hidden)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_points=st.integers(4, 16),
+    hidden=st.integers(1, 64),
+    trained_steps=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=59, unique=True),
+)
+def test_sample_walk_is_bit_for_bit_the_matmul_body_walk(n_points, hidden, trained_steps, seed, levels):
+    # the walk against the step-by-step walk over the np.matmul body on mlp_forward's
+    # (1, 3n + 2) feature row, written out here
+    m = _random_model(n_points, hidden, trained_steps, seed)
+
+    def reference_denoiser(y, sigma):
+        feats = np.empty((1, 3 * n_points + 2))
+        feats[0, :-2] = y.reshape(-1) / m.s_ref
+        feats[0, -2] = np.log(sigma)
+        feats[0, -1] = 1.0
+        return _reference_mlp(m, feats)[0][0]
+
+    schedule = DdimSchedule((*sorted(levels, reverse=True), 0.0))
+    walked = ddim_sample(diffusion._walk_denoiser(m), schedule, n_points, np.random.default_rng(seed))
+    reference = _reference_walk(reference_denoiser, schedule, n_points, np.random.default_rng(seed))
+    assert np.array_equal(walked, reference)
+
+
+@pytest.mark.parametrize("sigmas, message", [
+    ((np.nan, 0.0), "schedule noise levels must be finite, got (nan, 0.0)"),
+    ((1.0, np.nan, 0.0), "schedule noise levels must be finite, got (1.0, nan, 0.0)"),
+    ((np.inf, 0.0), "schedule noise levels must be finite, got (inf, 0.0)"),
+    ((1.0, 0.5, -np.inf), "schedule noise levels must be finite, got (1.0, 0.5, -inf)"),
+    ((0.0,), "schedule needs sigma_M > ... > sigma_0 = 0"),
+    ((1.0,), "schedule needs sigma_M > ... > sigma_0 = 0"),
+    ((), "schedule needs sigma_M > ... > sigma_0 = 0"),
+    ((1.0, 0.5), "schedule needs sigma_M > ... > sigma_0 = 0"),
+    ((-1.0, 0.0), "schedule needs sigma_M > ... > sigma_0 = 0"),
+    ((1.0, 0.5, 0.5, 0.0), "schedule must be strictly descending"),
+    ((1.0, 0.0, 0.0), "schedule must be strictly descending"),
+    ((0.5, 1.0, 0.0), "schedule must be strictly descending"),
+    ((2.0, 1.0, 1.5, 0.0), "schedule must be strictly descending"),
+])
+def test_ddim_schedule_error_messages(sigmas, message):
+    with pytest.raises(ValueError) as info:
+        DdimSchedule(sigmas)
+    assert str(info.value) == message
+
+
+def test_ddim_schedule_stores_plain_floats():
+    for sigmas in ((2, 1, np.float32(0.5), np.float64(0.25), 0), np.array([2.0, 1.0, 0.5, 0.25, 0.0]),
+                   ("2", "1", "0.5", "0.25", "0")):
+        schedule = DdimSchedule(sigmas)
+        assert schedule.sigmas == (2.0, 1.0, 0.5, 0.25, 0.0)
+        assert all(type(s) is float for s in schedule.sigmas)
 
 
 def test_walks_through_one_denoiser_do_not_share_a_result(traj):

@@ -102,6 +102,40 @@ def test_round_trip_exact(tmp_path):
     assert back.n_frames == traj.n_frames
 
 
+def _line_by_line(traj, path):
+    """The writer ``save_trajectory`` replaced: open, then one write per line."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for idx in range(traj.n_frames):
+            fh.write(f"{traj.n_points}\n{traj.name} frame {idx}\n")
+            for p in traj.frames[idx]:
+                fh.write(f"P {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+
+
+def test_save_writes_the_bytes_of_the_line_by_line_writer(tmp_path):
+    rng = np.random.default_rng(30)
+    extremes = np.array([[[0.0, -0.0, 1e-310], [1e300, -1.7976931348623157e308, 5e-324],
+                          [0.1, 1 / 3, -2.5], [1.0, 123456789.0, -1e-7]]])
+    for traj in (synth_trajectory(8, 1, 0.0, seed=1), synth_trajectory(6, 4, 0.3, seed=2),
+                 Trajectory(rng.standard_normal((3, 5, 3)) * 10.0 ** rng.integers(-20, 20, (3, 5, 3)), "wide", 1.0),
+                 Trajectory(extremes, "extremes ü", 1.0)):
+        save_trajectory(traj, tmp_path / "one.xyz")
+        _line_by_line(traj, tmp_path / "lines.xyz")
+        assert (tmp_path / "one.xyz").read_bytes() == (tmp_path / "lines.xyz").read_bytes()
+
+
+@pytest.mark.parametrize("frames, name, error", [
+    (np.zeros((1, 4, 2)), "pairs", IndexError),  # a point with two coordinates
+    (np.zeros((2, 4, 3)), "\ud800", UnicodeEncodeError),  # a name UTF-8 cannot encode
+], ids=["two-coordinates", "unencodable-name"])
+def test_a_save_that_fails_keeps_the_existing_file(tmp_path, frames, name, error):
+    path = tmp_path / "kept.xyz"
+    save_trajectory(synth_trajectory(4, 2, 0.1, seed=3), path)
+    before = path.read_bytes()
+    with pytest.raises(error):
+        save_trajectory(Trajectory(frames, name, 1.0), path)
+    assert path.read_bytes() == before
+
+
 def test_synth_trajectory_properties():
     traj = synth_trajectory(8, 5, 0.0, seed=2)
     for k in range(1, 5):
