@@ -59,10 +59,8 @@ from .geom import (
 from .quadrature import (
     NoConvergenceError,
     OracleMean,
-    So3Grid,
     mf_mean_quadrature,
     oracle_conditional_denoiser,
-    so3_grid_global,
 )
 from .trajectory import (
     Trajectory,

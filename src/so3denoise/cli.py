@@ -23,7 +23,7 @@ from .estimators import EstimatorKind, error_sweep, sweep_aug_anomalies, write_s
 from .fisher import _expansion
 from .geom import _count, _positive, rotate
 from .quadrature import _oracle_mean
-from .trajectory import Trajectory, _rms_point_norm, load_trajectory, save_trajectory
+from .trajectory import Trajectory, load_trajectory, save_trajectory
 
 
 def _emit(payload: dict) -> None:
@@ -116,8 +116,7 @@ def _cmd_sample(args) -> int:
         cloud = ddim_sample(_walk_denoiser(model), schedule, model.n_points, rng)
     if not np.isfinite(cloud).all():
         raise ValueError(f"sampling from {args.model} gave non-finite coordinates (a diverged model?)")
-    traj = Trajectory(cloud[None], "sampled", _rms_point_norm(cloud))
-    save_trajectory(traj, args.out)
+    save_trajectory(Trajectory(cloud[None], "sampled"), args.out)
     _emit({"out": args.out, "n_points": model.n_points, "schedule": list(sigmas)})
     return 0
 

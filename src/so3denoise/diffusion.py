@@ -454,7 +454,7 @@ def ddim_sample(
     the walk overwrites.
     """
     sig = schedule.sigmas
-    y = center(sig[0] * rng.standard_normal((n_points, 3)))
+    y = center(sig[0] * rng.standard_normal((_count(n_points, "n_points", 1), 3)))
     step = np.empty_like(y)
     subtract, multiply, add = np.subtract, np.multiply, np.add
     for s_hi, s_lo in zip(sig, sig[1:]):

@@ -1,9 +1,10 @@
 """Deterministic numerical integration over SO(3).
 
-The exact first moment of matrix Fisher distributions, the optimal
-conditional denoiser built on it, and a global grid over SO(3).  This
-ground-truth path shares only the SVD of ``y.T @ x`` with the expansion
-in :mod:`so3denoise.fisher`, not its formulas: agreement is evidence.
+The exact first moment of matrix Fisher distributions and the optimal
+conditional denoiser built on it.  This ground-truth path shares only
+the SVD of ``y.T @ x`` with the expansion in :mod:`so3denoise.fisher`,
+not its formulas: agreement is evidence.  The tests also check it
+against brute-force sums over an Euler-angle grid on SO(3).
 
 The first moment uses the canonical-frame 1-D Bessel representation of
 the matrix Fisher normalizer (Wood 1993; Lee, Leok & McClamroch 2018).
@@ -21,15 +22,10 @@ odd nodes, and one pass covers every axis of a whole stack.  The first
 pass evaluates the nodes of levels 0 and 1 (h and h/2) together, and
 sums each level on its own, so the first convergence check costs one
 Bessel pass.
-
-The ZYZ Euler product grid (trapezoid in the two azimuths,
-Gauss-Legendre in cos(beta)) integrates over SO(3) by brute force, an
-independent reference for the moment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -37,7 +33,7 @@ import numpy as np
 
 from .align import _cross_svd
 from .fisher import _square
-from .geom import ProperSvd, _count, _positive, proper_svd, transpose
+from .geom import ProperSvd, _positive, proper_svd, transpose
 
 # Tanh-sinh nodes t = k h on [-_T_MAX, _T_MAX]; h starts at _START_STEP and
 # halves at most _MAX_HALVINGS times, so a converged result has >= 225 nodes.
@@ -56,38 +52,6 @@ _OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
 
 class NoConvergenceError(RuntimeError):
     """Refinement hit the halving cap short of the tolerance, or the mean is not finite."""
-
-
-@dataclass(frozen=True)
-class So3Grid:
-    """Quadrature nodes and weights on SO(3); weights are normalized to 1."""
-
-    rotations: np.ndarray  # (M, 3, 3)
-    weights: np.ndarray    # (M,)
-
-
-def _plane_rotation(angles: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Rotations by ``angles`` turning axis i toward axis j: (0, 1) is about z, (2, 0) about y."""
-    c, s = np.cos(angles), np.sin(angles)
-    m = np.zeros(angles.shape + (3, 3))
-    m[..., range(3), range(3)] = 1.0
-    m[..., i, i] = m[..., j, j] = c
-    m[..., i, j] = -s
-    m[..., j, i] = s
-    return m
-
-
-def so3_grid_global(n: int) -> So3Grid:
-    """ZYZ Euler product grid with n nodes per axis (n^3 total)."""
-    n = _count(n, "n", 2)
-    azimuth = 2.0 * np.pi * np.arange(n) / n
-    u, gl_w = np.polynomial.legendre.leggauss(n)
-    rot_z, rot_y = _plane_rotation(azimuth, 0, 1), _plane_rotation(np.arccos(u), 2, 0)
-    rab = np.einsum("aij,bjk->abik", rot_z, rot_y).reshape(n * n, 3, 3)
-    rotations = (rab[None] @ rot_z[:, None]).reshape(-1, 3, 3)
-    # Haar weight: (2pi/n)^2 * gl_w / (8 pi^2) = gl_w / (2 n^2); sums to 1.
-    weights = np.tile(gl_w / (2.0 * n * n), n * n)
-    return So3Grid(rotations, weights)
 
 
 def _i0e(z: np.ndarray) -> np.ndarray:

@@ -26,7 +26,11 @@ class TrajectoryFormatError(ValueError):
 class Trajectory:
     frames: np.ndarray  # (F, N, 3), every frame centered
     name: str
-    scale: float        # RMS point norm of frame 0
+
+    @property
+    def scale(self) -> float:
+        """RMS point norm of frame 0."""
+        return _rms_point_norm(self.frames[0])
 
     @property
     def n_frames(self) -> int:
@@ -42,12 +46,11 @@ def _rms_point_norm(frame: np.ndarray) -> float:
 
 
 def _make_trajectory(frames: list[np.ndarray], name: str) -> Trajectory:
-    centered = np.stack([center(f) for f in frames])
-    return Trajectory(centered, name, _rms_point_norm(centered[0]))
+    return Trajectory(np.stack([center(f) for f in frames]), name)
 
 
 def load_trajectory(path) -> Trajectory:
-    """Parse a multi-frame XYZ file; frames are centered and the scale computed.
+    """Parse a multi-frame XYZ file; frames are centered.
 
     Malformed lines, including ``nan`` or ``inf`` coordinates, raise
     ``TrajectoryFormatError`` naming the file and line; a file that is not
@@ -109,10 +112,21 @@ def load_trajectory(path) -> Trajectory:
 def save_trajectory(traj: Trajectory, path) -> None:
     """Write frames as UTF-8 XYZ, every point labelled ``P``, at full float64 round-trip precision.
 
-    The file is made before ``path`` is opened, so a save that fails leaves ``path`` as it was."""
+    Frames that are not a finite float ``(F >= 1, N >= 1, 3)`` array, or a name with a line
+    break, raise ``ValueError``: ``load_trajectory`` could not read the file back.  The file is
+    made before ``path`` is opened, so a save that fails leaves ``path`` as it was."""
+    frames = np.asarray(traj.frames)
+    if frames.dtype.kind != "f" or frames.ndim != 3 or frames.shape[2] != 3 or not frames.size:
+        raise ValueError(f"frames must be a float array of shape (F >= 1, N >= 1, 3), "
+                         f"got {frames.dtype} of shape {frames.shape}")
+    if not np.isfinite(frames).all():
+        f, n = np.argwhere(~np.isfinite(frames))[0, :2]
+        raise ValueError(f"frame {f} point {n} has a non-finite coordinate")
+    if "".join(traj.name.splitlines()) != traj.name:
+        raise ValueError(f"name {traj.name!r} holds a line break; it must fit the comment line")
     point = "P {:.17g} {:.17g} {:.17g}\n".format
-    data = "".join(f"{traj.n_points}\n{traj.name} frame {idx}\n" + "".join([point(*p) for p in frame])
-                   for idx, frame in enumerate(traj.frames.tolist())).encode("utf-8")
+    data = "".join(f"{frames.shape[1]}\n{traj.name} frame {idx}\n" + "".join([point(*p) for p in frame])
+                   for idx, frame in enumerate(frames.tolist())).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)
 

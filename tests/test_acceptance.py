@@ -3,8 +3,8 @@
 Each test prints a single PASS line once its criterion holds, so running
 ``pytest tests/test_acceptance.py -v -s`` gives a per-criterion report.
 The invariant bodies live in :mod:`so3denoise.selftest`, which runs them
-at reduced sizes; each test here fixes the criterion's seed, sample
-counts and runtime cap.
+at reduced sizes, and C10's grid checks in ``so3_reference``; each test
+here fixes the criterion's seed, sample counts and runtime cap.
 """
 
 import time
@@ -14,19 +14,17 @@ import numpy as np
 from so3denoise.diffusion import TrainConfig, noise_sample, train
 from so3denoise.estimators import EstimatorKind, error_sweep
 from so3denoise.geom import frobenius_norm_sq, rotate, sample_haar
-from so3denoise.quadrature import so3_grid_global
 from so3denoise.selftest import (
     alignment_commutation,
     averaging_offset,
     ddim_closed_forms,
-    grid_moments,
     kabsch_optimality,
     laplace_vs_quadrature,
     mlp_gradients,
     oracle_symmetries,
 )
 from so3denoise.trajectory import synth_trajectory
-from test_quadrature import log_partition
+from so3_reference import grid_moments, log_partition, so3_grid_global
 
 
 def _report(criterion: int, detail: str) -> None:

@@ -19,12 +19,13 @@ import numpy as np
 import pytest
 
 from so3denoise.cli import main
-from so3denoise.diffusion import MlpDenoiser, TrainConfig, mlp_forward, save_denoiser
+from so3denoise.diffusion import DdimSchedule, MlpDenoiser, TrainConfig, ddim_sample, mlp_forward, save_denoiser
 from so3denoise.estimators import EstimatorKind, error_sweep, estimator_target
 from so3denoise.fisher import mf_mean_laplace
 from so3denoise.geom import sample_haar
-from so3denoise.quadrature import mf_mean_quadrature, oracle_conditional_denoiser, so3_grid_global
+from so3denoise.quadrature import mf_mean_quadrature, oracle_conditional_denoiser
 from so3denoise.trajectory import save_trajectory, synth_trajectory
+from so3_reference import so3_grid_global
 
 _X = synth_trajectory(8, 1, 0.0, seed=11).frames[0]
 
@@ -52,6 +53,10 @@ def _config(**kw):
 
 def _model():
     return MlpDenoiser.initialize(8, 4, 1.0, np.random.default_rng(0))
+
+
+def _ddim(n_points):
+    return ddim_sample(lambda y, s: y, DdimSchedule((1.0, 0.0)), n_points, np.random.default_rng(0))
 
 
 _TRAIN = ["train", "--input", "{data}", "--sigma", "0.5", "--estimator", "order0", "--steps", "1",
@@ -100,6 +105,9 @@ _ROWS = [
      "seed must be an integer, got None"),
     ("sample_haar-size", lambda t: sample_haar(np.random.default_rng(0), -1), ValueError,
      "size must be >= 0, got -1"),
+    ("ddim_sample-n_points", lambda t: _ddim(0), ValueError, "n_points must be >= 1, got 0"),
+    ("ddim_sample-n_points-negative", lambda t: _ddim(-1), ValueError, "n_points must be >= 1, got -1"),
+    ("ddim_sample-n_points-float", lambda t: _ddim(2.5), TypeError, "n_points must be an integer, got 2.5"),
     ("so3_grid_global-float", lambda t: so3_grid_global(3.5), TypeError, "n must be an integer, got 3.5"),
     ("so3_grid_global-n", lambda t: so3_grid_global(1), ValueError, "n must be >= 2, got 1"),
     ("estimator_target-sigma", lambda t: estimator_target(EstimatorKind.ORDER0, _X, _X, 0.0), ValueError,

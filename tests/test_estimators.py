@@ -20,7 +20,6 @@ from so3denoise.estimators import (
 from so3denoise.fisher import ExpansionSingularError, c1
 from so3denoise.geom import center, frobenius_norm_sq, proper_svd, rotate, sample_haar
 from so3denoise.quadrature import NoConvergenceError
-from so3denoise.selftest import averaging_offset_check
 from so3denoise.trajectory import synth_trajectory
 
 SWEEP_KINDS = [EstimatorKind.AUG, EstimatorKind.ORDER0, EstimatorKind.ORDER1, EstimatorKind.ORDER2]
@@ -346,15 +345,16 @@ def test_nesting_bit_exact(cloud):
 
 
 def test_averaging_offset_lemma(cloud):
+    # delta(d) = E_R[||d - R x||^2] - ||d - E_R[R] x||^2 is the same for every probe d
     rng = np.random.default_rng(6)
     tol = 1e-8
     y, _ = noisy_pair(rng, cloud, 0.2)
     probes = [cloud, np.zeros_like(cloud), center(rng.standard_normal(cloud.shape))]
-    spread = averaging_offset_check(y, cloud, 0.2, probes, tol=tol)
+    mean_x = estimator_target(EstimatorKind.ORACLE, y, cloud, 0.2, tol=tol)
+    deltas = [frobenius_norm_sq(d) + frobenius_norm_sq(cloud) - 2.0 * np.sum(d * mean_x)
+              - frobenius_norm_sq(d - mean_x) for d in probes]
+    spread = max(abs(dl - deltas[0]) for dl in deltas)
     assert spread < 4 * tol * frobenius_norm_sq(cloud)
-    assert averaging_offset_check(y, cloud, 0.2, [cloud], tol=tol) == 0.0
-    with pytest.raises(ValueError, match="need at least one probe"):
-        averaging_offset_check(y, cloud, 0.2, [], tol=tol)
 
 
 def test_averaging_offset_delta_nonnegative(cloud):

@@ -3,8 +3,9 @@ import pytest
 
 from so3denoise.fisher import ExpansionSingularError, c1, c2, mf_mean_laplace
 from so3denoise.geom import center, proper_svd, sample_haar
-from so3denoise.quadrature import mf_mean_quadrature, so3_grid_global
+from so3denoise.quadrature import mf_mean_quadrature
 from so3denoise.selftest import LAPLACE_SIGMAS, laplace_vs_quadrature
+from so3_reference import so3_grid_global
 
 
 def log_density_unnorm(f, r):

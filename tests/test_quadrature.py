@@ -10,26 +10,8 @@ from so3denoise.fisher import mf_mean_laplace
 from so3denoise.geom import (
     center, frobenius_norm_sq, haar_from_normals, proper_svd, rotate, sample_haar, transpose,
 )
-from so3denoise.quadrature import (
-    NoConvergenceError,
-    mf_mean_quadrature,
-    oracle_conditional_denoiser,
-    so3_grid_global,
-)
-
-
-def log_partition(f, grid):
-    """log of the Haar-normalized partition function Z(f), a log-shifted sum over grid nodes."""
-    logp = np.einsum("ij,nij->n", f, grid.rotations)
-    shift = logp.max()
-    return float(shift + np.log(np.sum(grid.weights * np.exp(logp - shift))))
-
-
-def posterior_mean(f, grid):
-    """E[R] under exp(Tr[f^T R]) dHaar as a log-shifted weighted sum over grid nodes."""
-    logp = np.einsum("ij,nij->n", f, grid.rotations)
-    w = grid.weights * np.exp(logp - logp.max())
-    return np.einsum("n,nij->ij", w, grid.rotations) / w.sum()
+from so3denoise.quadrature import NoConvergenceError, mf_mean_quadrature, oracle_conditional_denoiser
+from so3_reference import grid_moments, log_partition, posterior_mean, so3_grid_global
 
 
 def test_global_grid_invariants():
@@ -44,11 +26,7 @@ def test_global_grid_invariants():
 
 def test_global_grid_haar_moments():
     for n in (8, 16):
-        g = so3_grid_global(n)
-        mean = np.einsum("n,nij->ij", g.weights, g.rotations)
-        assert np.max(np.abs(mean)) <= 1e-10
-        tr = np.trace(g.rotations, axis1=1, axis2=2)
-        assert abs(np.sum(g.weights * tr**2) - 1.0) <= 1e-8
+        grid_moments(n)
 
 
 @pytest.mark.parametrize(

@@ -116,15 +116,15 @@ def test_save_writes_the_bytes_of_the_line_by_line_writer(tmp_path):
     extremes = np.array([[[0.0, -0.0, 1e-310], [1e300, -1.7976931348623157e308, 5e-324],
                           [0.1, 1 / 3, -2.5], [1.0, 123456789.0, -1e-7]]])
     for traj in (synth_trajectory(8, 1, 0.0, seed=1), synth_trajectory(6, 4, 0.3, seed=2),
-                 Trajectory(rng.standard_normal((3, 5, 3)) * 10.0 ** rng.integers(-20, 20, (3, 5, 3)), "wide", 1.0),
-                 Trajectory(extremes, "extremes ü", 1.0)):
+                 Trajectory(rng.standard_normal((3, 5, 3)) * 10.0 ** rng.integers(-20, 20, (3, 5, 3)), "wide"),
+                 Trajectory(extremes, "extremes ü")):
         save_trajectory(traj, tmp_path / "one.xyz")
         _line_by_line(traj, tmp_path / "lines.xyz")
         assert (tmp_path / "one.xyz").read_bytes() == (tmp_path / "lines.xyz").read_bytes()
 
 
 @pytest.mark.parametrize("frames, name, error", [
-    (np.zeros((1, 4, 2)), "pairs", IndexError),  # a point with two coordinates
+    (np.zeros((1, 4, 2)), "pairs", ValueError),  # a point with two coordinates
     (np.zeros((2, 4, 3)), "\ud800", UnicodeEncodeError),  # a name UTF-8 cannot encode
 ], ids=["two-coordinates", "unencodable-name"])
 def test_a_save_that_fails_keeps_the_existing_file(tmp_path, frames, name, error):
@@ -132,8 +132,36 @@ def test_a_save_that_fails_keeps_the_existing_file(tmp_path, frames, name, error
     save_trajectory(synth_trajectory(4, 2, 0.1, seed=3), path)
     before = path.read_bytes()
     with pytest.raises(error):
-        save_trajectory(Trajectory(frames, name, 1.0), path)
+        save_trajectory(Trajectory(frames, name), path)
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("frames, name, message", [
+    (np.zeros((1, 4, 4)), "t", "frames must be a float array of shape (F >= 1, N >= 1, 3), "
+                                "got float64 of shape (1, 4, 4)"),
+    (np.zeros((4, 3)), "t", "frames must be a float array of shape (F >= 1, N >= 1, 3), "
+                            "got float64 of shape (4, 3)"),
+    (np.zeros((0, 4, 3)), "t", "frames must be a float array of shape (F >= 1, N >= 1, 3), "
+                               "got float64 of shape (0, 4, 3)"),
+    (np.zeros((2, 0, 3)), "t", "frames must be a float array of shape (F >= 1, N >= 1, 3), "
+                               "got float64 of shape (2, 0, 3)"),
+    (np.zeros((1, 4, 3), dtype=np.int64), "t", "frames must be a float array of shape (F >= 1, N >= 1, 3), "
+                                          "got int64 of shape (1, 4, 3)"),
+    (np.array([[[0.0, 0.0, 0.0]], [[1.0, np.inf, 0.0]]]), "t", "frame 1 point 0 has a non-finite coordinate"),
+    (np.zeros((1, 4, 3)), "a\nb", "name 'a\\nb' holds a line break; it must fit the comment line"),
+    (np.zeros((1, 4, 3)), "a\u2028", "name 'a\\u2028' holds a line break; it must fit the comment line"),
+], ids=["four-coordinates", "2-d", "no-frames", "no-points", "integer", "non-finite", "newline",
+        "line-separator"])
+def test_save_refuses_frames_and_names_that_load_cannot_read_back(tmp_path, frames, name, message):
+    # each of these would fail in the formatting or make a file that load_trajectory
+    # refuses or reads back as other frames (a fourth column is dropped); integer frames
+    # are refused too, since a trajectory holds float coordinates
+    path = tmp_path / "never.xyz"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        save_trajectory(Trajectory(frames, name), path)
+    assert not path.exists()
+    save_trajectory(Trajectory(np.zeros((1, 4, 3)), "a b\tc"), path)  # a plain name saves and reads back
+    assert load_trajectory(path).frames.shape == (1, 4, 3)
 
 
 def test_synth_trajectory_properties():
