@@ -28,7 +28,6 @@ cfg = TrainConfig(
     estimator=EstimatorKind.ORDER0,
     steps=1200,
     seed=3,
-    dataset_mode="single-frame",
 )
 result = train(cfg, traj.frames)
 print("status:", result.status)

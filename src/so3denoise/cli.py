@@ -16,12 +16,12 @@ import sys
 import numpy as np
 
 from . import selftest as _selftest
-from .align import _cross_svd, kabsch, rmsd
+from .align import _cross_svd, aligned_rmsd, kabsch, rmsd
 from .diffusion import (DdimSchedule, TrainConfig, _walk_denoiser, ddim_sample, load_denoiser,
                         save_denoiser, train, write_metrics_csv)
 from .estimators import EstimatorKind, error_sweep, sweep_aug_anomalies, write_sweep_csv
 from .fisher import _expansion
-from .geom import _count, _positive, rotate
+from .geom import _count, _positive
 from .quadrature import _oracle_mean
 from .trajectory import Trajectory, load_trajectory, save_trajectory
 
@@ -47,7 +47,7 @@ def _cmd_align(args) -> int:
     b = _frame(traj, args.frame_b)
     result = kabsch(a, b)
     _emit({"rotation": result.rotation.tolist(), "rmsd": rmsd(a, b),
-           "aligned_rmsd": rmsd(a, rotate(result.rotation, b)), "degenerate": result.degenerate})
+           "aligned_rmsd": aligned_rmsd(a, b), "degenerate": result.degenerate})
     return 0
 
 
@@ -164,10 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--input", required=True)
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--estimator", choices=[k.value for k in EstimatorKind if k is not EstimatorKind.ORACLE],
-                   required=True)
+    p.add_argument("--estimator", choices=[k.value for k in EstimatorKind], required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--mode", dest="dataset_mode", choices=["all-frames", "single-frame"])
     p.add_argument("--seed", type=int)
     p.add_argument("--batch", type=int)
     p.add_argument("--lr", type=float)

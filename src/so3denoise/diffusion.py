@@ -106,7 +106,6 @@ class TrainConfig:
     batch: int = 32
     lr: float = 1e-3
     seed: int = 0
-    dataset_mode: str = "all-frames"  # or "single-frame"
     hidden: int = 64
 
     def __post_init__(self):
@@ -115,8 +114,6 @@ class TrainConfig:
         for name in ("sigma", "lr"):
             _positive(getattr(self, name), name)
             object.__setattr__(self, name, float(getattr(self, name)))  # a plain float, which json writes
-        if self.dataset_mode not in ("all-frames", "single-frame"):
-            raise ValueError(f"unknown dataset_mode {self.dataset_mode!r}")
         object.__setattr__(self, "estimator", EstimatorKind(self.estimator))
 
 
@@ -149,16 +146,15 @@ class DdimSchedule:
 def noise_sample(
     x: np.ndarray, sigma: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate by a Haar draw, add isotropic noise, re-center.
+    """Rotate by a Haar draw, add isotropic noise of positive finite level ``sigma``, re-center.
 
     Returns (y, r_aug).  Re-centering is required because the noise
     breaks the zero-centroid constraint the posterior formulas assume.
     """
-    if not 0 <= sigma < math.inf:  # False for NaN too
-        raise ValueError(f"sigma must be non-negative and finite, got {sigma}")
+    _positive(sigma, "sigma")
     x = np.asarray(x, dtype=float)
     q = rng.standard_normal(4)
-    return _noised(x, q, None if sigma == 0 else rng.standard_normal(x.shape), sigma)
+    return _noised(x, q, rng.standard_normal(x.shape), sigma)
 
 
 def _features(m: MlpDenoiser, ys: np.ndarray, sigma: float) -> np.ndarray:
@@ -331,8 +327,9 @@ def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
     under ORDER0.
 
     Each batch (the probe first, then one per step) is drawn with three
-    generator calls: ``integers(frames, size=batch)`` in all-frames mode
-    only, ``standard_normal((batch, 4))`` for the Haar rotations and
+    generator calls: ``integers(frames, size=batch)``, which draws no bits
+    from a one-frame dataset (pass ``dataset[:1]`` to train on frame 0),
+    ``standard_normal((batch, 4))`` for the Haar rotations and
     ``standard_normal((batch, N, 3))`` for the noise.  Steps run in blocks
     of at most ``_BLOCK_POINTS`` drawn points (at least one step): a
     block's batches are drawn step by step, noised and given their
@@ -357,12 +354,11 @@ def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
 
     def draw_batch(n_batches: int, size: int):
         """(ys, xs, r_aug) stacks of ``n_batches`` batches, each drawn with three generator calls."""
-        idx = np.zeros((n_batches, size), dtype=int)
+        idx = np.empty((n_batches, size), dtype=int)
         q = np.empty((n_batches, size, 4))
         eta = np.empty((n_batches, size, n_points, 3))
         for k in range(n_batches):
-            if cfg.dataset_mode == "all-frames":
-                idx[k] = rng.integers(len(frames), size=size)
+            idx[k] = rng.integers(len(frames), size=size)
             rng.standard_normal(out=q[k])
             rng.standard_normal(out=eta[k])
         xs = frames[idx.ravel()]

@@ -86,18 +86,15 @@ def haar_from_normals(q: np.ndarray) -> np.ndarray:
     return _quat_to_matrix(q / np.linalg.norm(q, axis=-1, keepdims=True))
 
 
-def _noised(xs: np.ndarray, q: np.ndarray, eta: np.ndarray | None, sigma):
+def _noised(xs: np.ndarray, q: np.ndarray, eta: np.ndarray, sigma):
     """Rotate clouds by the Haar rotations of normals ``q``, add ``sigma * eta``, re-center.
 
     Works on one cloud or a stack; ``sigma`` is a level or anything that
-    broadcasts against ``eta`` (per-item levels as ``(b, 1, 1)``), and
-    ``eta=None`` adds no noise.  Returns the clouds and the rotations.
+    broadcasts against ``eta`` (per-item levels as ``(b, 1, 1)``).
+    Returns the clouds and the rotations.
     """
     r_aug = haar_from_normals(q)
-    z = rotate(r_aug, xs)
-    if eta is None:
-        return z, r_aug
-    return center(z + sigma * eta), r_aug
+    return center(rotate(r_aug, xs) + sigma * eta), r_aug
 
 
 def _count(value, name: str, least: int) -> int:

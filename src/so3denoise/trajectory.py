@@ -52,9 +52,9 @@ def _make_trajectory(frames: list[np.ndarray], name: str) -> Trajectory:
 def load_trajectory(path) -> Trajectory:
     """Parse a multi-frame XYZ file; frames are centered.
 
-    Malformed lines, including ``nan`` or ``inf`` coordinates, raise
-    ``TrajectoryFormatError`` naming the file and line; a file that is not
-    UTF-8 raises it naming the file.
+    Malformed lines, including rows of other than four fields and ``nan``
+    or ``inf`` coordinates, raise ``TrajectoryFormatError`` naming the file
+    and line; a file that is not UTF-8 raises it naming the file.
     """
     path = Path(path)
     try:
@@ -84,12 +84,12 @@ def load_trajectory(path) -> Trajectory:
         coords = []  # the frame's rows, checked in file order and made one array
         for line_no in range(i + 2, i + 2 + n):
             parts = lines[line_no].split()
-            if len(parts) < 4:
+            if len(parts) != 4:
                 raise TrajectoryFormatError(
                     f"{path}:{line_no + 1}: expected 'LABEL x y z', got {lines[line_no]!r}"
                 )
             try:
-                row = [float(v) for v in parts[1:4]]
+                row = [float(v) for v in parts[1:]]
             except ValueError:
                 raise TrajectoryFormatError(
                     f"{path}:{line_no + 1}: non-numeric coordinate in {lines[line_no]!r}"

@@ -117,7 +117,7 @@ def test_c09_training_smoke():
     start = time.time()
     traj = synth_trajectory(8, 1, 0.0, seed=7)
     scale = traj.scale
-    base = dict(sigma=0.5 * scale, steps=2000, seed=3, dataset_mode="single-frame", hidden=64)
+    base = dict(sigma=0.5 * scale, steps=2000, seed=3, hidden=64)
 
     result = train(TrainConfig(estimator=EstimatorKind.ORDER0, **base), traj.frames)
     assert result.status == "completed"
@@ -132,8 +132,7 @@ def test_c09_training_smoke():
 
     # a large-noise second-order run must terminate with a status, never raise
     big = train(
-        TrainConfig(sigma=10.0 * scale, estimator=EstimatorKind.ORDER2, steps=300, seed=3,
-                    dataset_mode="single-frame", hidden=64),
+        TrainConfig(sigma=10.0 * scale, estimator=EstimatorKind.ORDER2, steps=300, seed=3, hidden=64),
         traj.frames,
     )
     assert big.status in ("completed", "diverged")

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from so3denoise.cli import main
-from so3denoise.diffusion import DdimSchedule, MlpDenoiser, TrainConfig, ddim_sample, mlp_forward, save_denoiser
+from so3denoise.diffusion import (DdimSchedule, MlpDenoiser, TrainConfig, ddim_sample, mlp_forward, noise_sample,
+                                  save_denoiser)
 from so3denoise.estimators import EstimatorKind, error_sweep, estimator_target
 from so3denoise.fisher import mf_mean_laplace
 from so3denoise.geom import sample_haar
@@ -121,6 +122,8 @@ _ROWS = [
      "sigma must be positive and finite, got -1.0"),
     ("mlp_forward-sigma", lambda t: mlp_forward(_model(), _X, np.inf), ValueError,
      "sigma must be positive and finite, got inf"),
+    ("noise_sample-sigma", lambda t: noise_sample(_X, 0.0, np.random.default_rng(0)), ValueError,
+     "sigma must be positive and finite, got 0.0"),
     ("cli-moment-sigma", lambda t: _cli(t, "moment", "--input", "{data}", "--sigma", "0"), _CliError,
      "sigma must be positive and finite, got 0.0"),
     ("cli-train-seed", lambda t: _cli(t, *_TRAIN, "--seed", "-1"), _CliError, "seed must be >= 0, got -1"),

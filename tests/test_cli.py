@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import asdict
@@ -13,7 +15,7 @@ import so3denoise
 import so3denoise.selftest
 from so3denoise import align, cli, fisher, geom, quadrature
 from so3denoise.cli import main
-from so3denoise.diffusion import MlpDenoiser, TrainConfig, load_denoiser, save_denoiser
+from so3denoise.diffusion import MlpDenoiser, TrainConfig, load_denoiser, save_denoiser, train, write_metrics_csv
 from so3denoise.fisher import mf_mean_laplace
 from so3denoise.geom import proper_svd
 from so3denoise.quadrature import mf_mean_quadrature
@@ -133,13 +135,15 @@ def test_sweep_byte_identical_and_parseable(capsys, tmp_path, traj_path):
     assert len(out_a.read_text().splitlines()) == 1 + 8
 
 
-def test_train_and_sample_round_trip(capsys, tmp_path, traj_path):
+def test_train_and_sample_round_trip(capsys, tmp_path):
+    data = tmp_path / "one.xyz"
+    save_trajectory(synth_trajectory(8, 1, 0.1, seed=21), data)  # frame 0 of traj_path
     metrics = tmp_path / "metrics.csv"
     model = tmp_path / "model.bin"
     code, payload = run_json(
         capsys,
-        ["train", "--input", traj_path, "--sigma", "0.5", "--estimator", "order0",
-         "--steps", "20", "--mode", "single-frame", "--seed", "2",
+        ["train", "--input", str(data), "--sigma", "0.5", "--estimator", "order0",
+         "--steps", "20", "--seed", "2",
          "--out-metrics", str(metrics), "--out-model", str(model)],
     )
     assert code == 0
@@ -168,6 +172,42 @@ def test_train_takes_its_defaults_from_train_config(capsys, tmp_path, traj_path)
     assert code == 0 and payload["status"] == "completed"
     config = json.loads(json.dumps(asdict(TrainConfig(0.5, "order1", 3))))
     assert load_denoiser(model)[1]["config"] == config
+
+
+def test_train_oracle_writes_the_files_of_the_library_calls(capsys, tmp_path):
+    data, metrics, model = tmp_path / "t.xyz", tmp_path / "m.csv", tmp_path / "m.bin"
+    save_trajectory(synth_trajectory(8, 3, 0.1, seed=5), data)
+    code, payload = run_json(
+        capsys,
+        ["train", "--input", str(data), "--sigma", "0.5", "--estimator", "oracle", "--steps", "3",
+         "--batch", "4", "--hidden", "8", "--seed", "2", "--out-metrics", str(metrics), "--out-model", str(model)],
+    )
+    assert code == 0 and payload["status"] == "completed"
+    cfg = TrainConfig(0.5, "oracle", 3, batch=4, seed=2, hidden=8)
+    result = train(cfg, load_trajectory(data).frames)
+    write_metrics_csv(result.metrics, tmp_path / "want.csv")
+    save_denoiser(result.model, tmp_path / "want.bin", config=cfg)
+    assert metrics.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert model.read_bytes() == (tmp_path / "want.bin").read_bytes()
+
+
+def test_a_checkpoint_whose_config_has_dataset_mode_samples_the_same_bytes(capsys, tmp_path):
+    # checkpoints saved while TrainConfig had a dataset_mode field carry it in the header's config
+    new, old = tmp_path / "new.bin", tmp_path / "old.bin"
+    save_denoiser(MlpDenoiser.initialize(8, 4, 1.0, np.random.default_rng(0)), new, TrainConfig(0.5, "order1", 5))
+    line, _, block = new.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    config = {k: v for k, v in header["config"].items() if k != "hidden"}
+    header["config"] = config | {"dataset_mode": "all-frames", "hidden": header["config"]["hidden"]}
+    old.write_bytes(json.dumps(header).encode() + b"\n" + block)
+    model, loaded = load_denoiser(old)
+    assert loaded["config"]["dataset_mode"] == "all-frames"
+    np.testing.assert_array_equal(model.theta, load_denoiser(new)[0].theta)
+    for path in (new, old):
+        code, _ = run_json(capsys, ["sample", "--model", str(path), "--schedule", "1.0,0.5,0.1,0", "--seed", "4",
+                                    "--out", str(path.with_suffix(".xyz"))])
+        assert code == 0
+    assert new.with_suffix(".xyz").read_bytes() == old.with_suffix(".xyz").read_bytes()
 
 
 def test_train_divergence_prints_valid_json(capsys, tmp_path, traj_path):
@@ -486,6 +526,17 @@ def test_parser_accepts_every_argv_the_bench_passes(tmp_path):
     parsed = {command: cli._parser().parse_args(argv) for command, argv in argvs.items()}
     assert all(args.command == command for command, args in parsed.items())
     assert "--tol" in argvs["sweep"] and parsed["sweep"].tol == wl.SWEEP_TOL
+
+
+def test_readme_command_line_examples_parse():
+    # README's "Command line" block shows one call of every subcommand; a flag the parser
+    # lost must leave the block too.  Continuation lines are joined and [...] groups dropped.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    parser = cli.build_parser()
+    commands = [parser.parse_args(shlex.split(re.sub(r"\[[^\]]*\]", "", line))[1:]).command
+                for line in block.replace("\\\n", " ").splitlines() if line.startswith("so3denoise ")]
+    assert sorted(commands) == ["align", "moment", "sample", "selftest", "sweep", "train"]
 
 
 def test_bench_reference_sweep_matches_its_recorded_csv(tmp_path):

@@ -52,6 +52,8 @@ def test_non_finite_coordinate_reports_line_number(tmp_path, value):
         ("0\nt\n", "bad.xyz:1: point count must be >= 1"),
         ("-2\nt\nA 1 0 0\nA -1 0 0\n", "bad.xyz:1: point count must be >= 1"),
         ("2\nt\nA 1 0\nA -1 0 0\n", "bad.xyz:3: expected 'LABEL x y z', got 'A 1 0'"),
+        ("2\nt\nA 1 0 0 9\nA -1 0 0 junk\n", "bad.xyz:3: expected 'LABEL x y z', got 'A 1 0 0 9'"),
+        ("2\nt\nA 1 0 0\nA -1 0 0 junk\n", "bad.xyz:4: expected 'LABEL x y z', got 'A -1 0 0 junk'"),
         ("2\nt\n\xc5 1 0 0\nA -1 0 0\n", "bad.xyz: not UTF-8 text (invalid continuation byte at byte 4)"),
     ],
 )
