@@ -46,6 +46,26 @@ _MAX_HALVINGS = 6
 _I0E_SWITCH = 700.0
 _HANKEL_I0 = np.array([1.0, 1 / 8, 9 / 128, 225 / 3072, 11025 / 98304, 893025 / 3932160])
 
+# np.i0's Cephes Chebyshev coefficients, highest degree first: I0(z) e^-z in z / 2 - 2
+# for z <= 8, and I0(z) e^-z sqrt(z) in 32 / z - 2 above.
+_I0_SMALL = (
+    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16, 1.715391285555133e-15,
+    -1.1685332877993451e-14, 7.676185498604936e-14, -4.856446783111929e-13, 2.95505266312964e-12,
+    -1.726826291441556e-11, 9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
+    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07, 1.1173875391201037e-06,
+    -4.4167383584587505e-06, 1.6448448070728896e-05, -5.754195010082104e-05, 0.00018850288509584165,
+    -0.0005763755745385824, 0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
+    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764, 0.17162090152220877,
+    -0.3046826723431984, 0.6767952744094761)
+_I0_LARGE = (
+    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17, 3.461222867697461e-17,
+    -2.8276239805165836e-16, -3.425485619677219e-16, 1.7725601330565263e-15, 3.8116806693526224e-15,
+    -9.554846698828307e-15, -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
+    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11, -3.1499165279632416e-11,
+    1.1889147107846439e-11, 4.94060238822497e-10, 3.3962320257083865e-09, 2.266668990498178e-08,
+    2.0489185894690638e-07, 2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
+    0.8044904110141088)
+
 # For each index k, the other two (i, j) with s_i >= s_j under proper_svd's ordering.
 _OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
 
@@ -54,12 +74,34 @@ class NoConvergenceError(RuntimeError):
     """Refinement hit the halving cap short of the tolerance, or the mean is not finite."""
 
 
+def _chbevl(x: np.ndarray, coefficients: tuple[float, ...]) -> np.ndarray:
+    """np.i0's Chebyshev sum at ``x``: its operations in its order, in three reused buffers."""
+    if not x.size:  # np.i0 skips an empty interval too
+        return x
+    b0, b1, b2 = np.full_like(x, coefficients[0]), np.zeros_like(x), np.empty_like(x)
+    for c in coefficients[1:]:
+        b0, b1, b2 = b2, b0, b1  # b2 <- b1 <- b0, and b0 takes the spent buffer
+        np.multiply(x, b1, out=b0)
+        np.subtract(b0, b2, out=b0)
+        np.add(b0, c, out=b0)
+    np.subtract(b0, b2, out=b0)
+    return np.multiply(b0, 0.5, out=b0)
+
+
 def _i0e(z: np.ndarray) -> np.ndarray:
-    """Exponentially scaled modified Bessel function I0(z) e^-z for z >= 0."""
-    out = np.i0(np.minimum(z, _I0E_SWITCH)) * np.exp(-z)
-    large = z > _I0E_SWITCH
-    if large.any():
-        zl = z[large]
+    """Exponentially scaled modified Bessel function I0(z) e^-z for z >= 0.
+
+    Up to z = 700 this is ``np.i0(z) * np.exp(-z)`` bit for bit: np.i0's Cephes
+    Chebyshev series, summed in place, each over the arguments of its own interval
+    (z <= 8 or above) only.  Above 700 only the Hankel expansion is summed.
+    """
+    out = np.empty_like(z)
+    small, large = z <= 8.0, z > _I0E_SWITCH
+    mid = ~(small | large)  # NaN goes here, as in np.i0
+    zs, zm, zl = z[small], z[mid], z[large]
+    out[small] = np.exp(zs) * _chbevl(zs / 2.0 - 2, _I0_SMALL) * np.exp(-zs)
+    out[mid] = np.exp(zm) * _chbevl(32.0 / zm - 2.0, _I0_LARGE) / np.sqrt(zm) * np.exp(-zm)
+    if zl.size:
         out[large] = np.polynomial.polynomial.polyval(1.0 / zl, _HANKEL_I0) / np.sqrt(2.0 * np.pi * zl)
     return out
 
@@ -132,7 +174,7 @@ def _oracle_mean(svd: ProperSvd, sigma, tol: float) -> tuple[np.ndarray, np.ndar
             pending &= np.max(np.abs(d - prev), axis=1) >= tol
     pending |= ~np.isfinite(d).all(axis=1)  # and has not converged
     mean = (u * d[:, None, :]) @ vt
-    if pending[0] and v.ndim == 2:
+    if v.ndim == 2 and pending[0]:  # an empty stack has no item 0
         why = "is not finite"
         if np.isfinite(d[0]).all():
             why = (f"did not converge to tol={tol} in {_MAX_HALVINGS} halvings, "

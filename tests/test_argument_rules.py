@@ -7,6 +7,9 @@ it must raise, which names the argument in one of three forms:
 * ``ValueError: <name> must be >= <least>, got <value>``
 * ``ValueError: <name> must be positive and finite, got <value>``
 
+The ``error_sweep`` rows also check its cloud's shape:
+``ValueError: x must be a cloud of shape (N >= 1, 3), got shape <shape>``.
+
 A CLI row runs ``main`` in-process and expects exit status 1, no stdout
 and ``error: <message>`` on stderr.
 """
@@ -88,6 +91,14 @@ _ROWS = [
     ("MlpDenoiser.initialize-hidden-float",
      lambda t: MlpDenoiser.initialize(8, 2.5, 1.0, np.random.default_rng(0)), TypeError,
      "hidden must be an integer, got 2.5"),
+    ("error_sweep-x-point", lambda t: error_sweep(np.zeros(3), [0.1], 1, 0), ValueError,
+     "x must be a cloud of shape (N >= 1, 3), got shape (3,)"),
+    ("error_sweep-x-empty", lambda t: error_sweep(np.zeros((0, 3)), [0.1], 1, 0), ValueError,
+     "x must be a cloud of shape (N >= 1, 3), got shape (0, 3)"),
+    ("error_sweep-x-planar", lambda t: error_sweep(np.zeros((8, 2)), [0.1], 1, 0), ValueError,
+     "x must be a cloud of shape (N >= 1, 3), got shape (8, 2)"),
+    ("error_sweep-x-stack", lambda t: error_sweep(np.stack([_X, _X]), [0.1], 1, 0), ValueError,
+     "x must be a cloud of shape (N >= 1, 3), got shape (2, 8, 3)"),
     ("error_sweep-n_noise", lambda t: error_sweep(_X, [0.1], 0, 0), ValueError, "n_noise must be >= 1, got 0"),
     ("error_sweep-seed", lambda t: error_sweep(_X, [0.1], 1, -1), ValueError, "seed must be >= 0, got -1"),
     ("error_sweep-seed-float", lambda t: error_sweep(_X, [0.1], 1, 0.5), TypeError,

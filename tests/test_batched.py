@@ -147,6 +147,26 @@ def test_mf_mean_quadrature_stack_equals_per_item(mats, tol):
     assert np.array_equal(converged2[0], converged)
 
 
+_EMPTY_PAIRS = np.zeros((0, 7, 3))
+# (id, call on an empty stack, shape of each of its two results)
+_EMPTY_STACKS = [
+    ("mf_mean_laplace", lambda: mf_mean_laplace(np.zeros((0, 3, 3)), 1.0, 2), [(0, 3, 3), (0,)]),
+    ("mf_mean_quadrature", lambda: mf_mean_quadrature(np.zeros((0, 3, 3))), [(0, 3, 3), (0,)]),
+    ("mf_mean_quadrature-two-axes", lambda: mf_mean_quadrature(np.zeros((2, 0, 3, 3))), [(2, 0, 3, 3), (2, 0)]),
+    *((f"estimator_target-{kind.value}",
+       lambda kind=kind: estimator_target(kind, _EMPTY_PAIRS, _EMPTY_PAIRS, 0.5,
+                                          r_aug=np.zeros((0, 3, 3)) if kind is EstimatorKind.AUG else None),
+       [(0, 7, 3), (0,)]) for kind in EstimatorKind),
+    ("estimator_target-oracle-per-item-sigma",
+     lambda: estimator_target(EstimatorKind.ORACLE, _EMPTY_PAIRS, _EMPTY_PAIRS, np.ones(0)), [(0, 7, 3), (0,)]),
+]
+
+
+@pytest.mark.parametrize("call, shapes", [row[1:] for row in _EMPTY_STACKS], ids=[row[0] for row in _EMPTY_STACKS])
+def test_an_empty_stack_returns_empty_results(call, shapes):
+    assert [part.shape for part in call()] == shapes
+
+
 def _pin_pair(seed):
     """A unit-scale cloud and a noisy rotated copy of it."""
     rng = np.random.default_rng(seed)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import i0, i1
 
 import so3denoise.quadrature as quad
-from so3denoise.estimators import EstimatorKind, estimator_target
+from so3denoise.estimators import EstimatorKind, error_sweep, estimator_target
 from so3denoise.fisher import mf_mean_laplace
 from so3denoise.geom import (
     center, frobenius_norm_sq, haar_from_normals, proper_svd, rotate, sample_haar, transpose,
@@ -188,21 +188,69 @@ def test_fused_first_pass_matches_level_by_level_bit_for_bit(tol, n_stop_levels)
     assert mf_mean_quadrature(f[0], tol).tobytes() == ref_mean[0].tobytes()
 
 
-def test_i0e_matches_both_forms_bit_for_bit():
-    # np.i0(z) e^-z up to the switch at z = 700, the Hankel expansion past it
+def _mixed_arguments():
     z = np.concatenate([
         np.linspace(0.0, 1e6, 100001), np.geomspace(1e-12, 1e6, 20001),
         [8.0, 700.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), np.nextafter(700.0, 0.0),
          np.nextafter(700.0, 701.0)],
     ])
     np.random.default_rng(3).shuffle(z)
+    return z
+
+
+def _level_sums_arguments():
+    """The (2, B, 3, n) array that ``_level_sums`` passes to ``_i0e`` for six items
+    from diffuse to sharp (every branch taken)."""
+    seen, i0e = [], quad._i0e
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quad, "_i0e", lambda z: seen.append(z) or i0e(z))
+        f = np.random.default_rng(4).standard_normal((6, 3, 3)) * np.geomspace(1.0, 3e4, 6)[:, None, None]
+        quad._level_sums(proper_svd(f).s, (0, 1))
+    [z] = seen
+    assert z.shape == (2, 6, 3, 225) and (z <= 8.0).any() and (z > 8.0).any() and (z > 700.0).any()
+    return z
+
+
+I0E_ARGUMENTS = {
+    "mixed": _mixed_arguments,
+    "level-sums-stack": _level_sums_arguments,
+    "endpoints": lambda: np.array([8.0, 700.0]),
+    "all-up-to-8": lambda: np.linspace(0.0, 8.0, 1001),
+    "all-in-8-to-700": lambda: np.linspace(np.nextafter(8.0, 9.0), 700.0, 1001),
+    "all-above-700": lambda: np.geomspace(np.nextafter(700.0, 701.0), 1e300, 1001),
+    "empty": lambda: np.empty(0),
+}
+
+
+@pytest.mark.parametrize("arguments", I0E_ARGUMENTS.values(), ids=I0E_ARGUMENTS)
+def test_i0e_matches_both_forms_bit_for_bit(arguments):
+    # np.i0(z) e^-z up to the switch at z = 700, the Hankel expansion past it
+    z = arguments()
     out = quad._i0e(z)
+    assert out.shape == z.shape
     small = z <= quad._I0E_SWITCH
     zs, zl = z[small], z[~small]
     assert out[small].tobytes() == (np.i0(zs) * np.exp(-zs)).tobytes()
     hankel = np.polynomial.polynomial.polyval(1.0 / zl, quad._HANKEL_I0) / np.sqrt(2.0 * np.pi * zl)
     assert out[~small].tobytes() == hankel.tobytes()
-    assert quad._i0e(np.array([8.0, 700.0])).tobytes() == (np.i0([8.0, 700.0]) * np.exp([-8.0, -700.0])).tobytes()
+
+
+def test_the_oracle_does_not_call_np_i0(monkeypatch):
+    # np.i0 sums its series on new temporaries, and over arguments that the Hankel
+    # branch would overwrite: the oracle stays on the in-place series
+    def refuse(z):
+        raise AssertionError("np.i0 was called")
+
+    monkeypatch.setattr(np, "i0", refuse)
+    rng = np.random.default_rng(5)
+    x = center(rng.standard_normal((8, 3)))  # a bench-shaped sweep: 8 points, six levels, one draw each
+    x /= np.sqrt(np.mean(np.sum(x * x, axis=1)))
+    records = error_sweep(x, [0.01, 0.1, 0.2, 0.3, 0.5, 1.0], 1, 5201)
+    assert len(records) == 24 and all(r.n_excluded == 0 for r in records)
+    # a diffuse, a moderate and a sharp item: arguments in all three branches
+    mean, converged = mf_mean_quadrature(np.stack([np.diag([2.0, 1.0, 0.5]), np.diag([300.0, 200.0, 100.0]),
+                                                   np.diag([3e4, 2e4, 1e4])]))
+    assert converged.all() and np.isfinite(mean).all()
 
 
 def _langevin(kappa: float) -> float:
