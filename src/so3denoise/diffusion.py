@@ -311,9 +311,10 @@ def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
 
     Metrics are recorded per step on a fixed probe batch drawn before
     training: RMSD of the prediction to the rotated ground truth, and
-    aligned RMSD to the clean frame, from singular values alone
-    (``align._spectral_rmsd``: within about sqrt(eps) times the clouds'
-    scale of ``aligned_rmsd``).  Row 0 reports the pre-training
+    aligned RMSD to the clean frame, from the spectrum of the clouds'
+    cross-covariance alone (``align._spectral_rmsd``: Horn's quartic solved
+    by QCP, an SVD only for near-degenerate pairs; within about sqrt(eps)
+    times the clouds' scale of ``aligned_rmsd``).  Row 0 reports the pre-training
     state (its loss is evaluated on the probe batch).  Fully
     deterministic given the config seed.  Non-finite losses or
     parameters, or a batch whose samples are all excluded, stop the run

@@ -146,12 +146,14 @@ def error_sweep(
     every noise level, each item with its own sigma.  The oracle and
     ORDER0, ORDER1 and ORDER2 share one proper SVD of the stacked
     ``y.T @ x``: one factorization per sweep.  Degenerate alignments warn
-    once per sweep.  An ``x`` that is not a cloud ``(N >= 1, 3)``, an ``n_noise`` below 1,
-    a negative ``seed`` or either not an integer raises, naming it.
+    once per sweep.  An ``x`` that is not a cloud ``(N >= 1, 3)`` of finite coordinates, an
+    ``n_noise`` below 1, a negative ``seed`` or either not an integer raises, naming it.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != 3:
         raise ValueError(f"x must be a cloud of shape (N >= 1, 3), got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x must have finite coordinates")
     n_noise, seed = _count(n_noise, "n_noise", 1), _count(seed, "seed", 0)
     sig = [float(s) for s in sigmas]
     if not sig:

@@ -7,8 +7,9 @@ it must raise, which names the argument in one of three forms:
 * ``ValueError: <name> must be >= <least>, got <value>``
 * ``ValueError: <name> must be positive and finite, got <value>``
 
-The ``error_sweep`` rows also check its cloud's shape:
-``ValueError: x must be a cloud of shape (N >= 1, 3), got shape <shape>``.
+The ``error_sweep`` rows also check its cloud's shape and coordinates:
+``ValueError: x must be a cloud of shape (N >= 1, 3), got shape <shape>`` and
+``ValueError: x must have finite coordinates``.
 
 A CLI row runs ``main`` in-process and expects exit status 1, no stdout
 and ``error: <message>`` on stderr.
@@ -32,6 +33,13 @@ from so3denoise.trajectory import save_trajectory, synth_trajectory
 from so3_reference import so3_grid_global
 
 _X = synth_trajectory(8, 1, 0.0, seed=11).frames[0]
+
+
+def _with_point(value: float) -> np.ndarray:
+    """``_X`` with one coordinate set to ``value``."""
+    x = _X.copy()
+    x[3, 1] = value
+    return x
 
 
 class _CliError(Exception):
@@ -99,6 +107,10 @@ _ROWS = [
      "x must be a cloud of shape (N >= 1, 3), got shape (8, 2)"),
     ("error_sweep-x-stack", lambda t: error_sweep(np.stack([_X, _X]), [0.1], 1, 0), ValueError,
      "x must be a cloud of shape (N >= 1, 3), got shape (2, 8, 3)"),
+    ("error_sweep-x-nan", lambda t: error_sweep(_with_point(np.nan), [0.1], 1, 0), ValueError,
+     "x must have finite coordinates"),
+    ("error_sweep-x-inf", lambda t: error_sweep(_with_point(np.inf), [0.1], 1, 0), ValueError,
+     "x must have finite coordinates"),
     ("error_sweep-n_noise", lambda t: error_sweep(_X, [0.1], 0, 0), ValueError, "n_noise must be >= 1, got 0"),
     ("error_sweep-seed", lambda t: error_sweep(_X, [0.1], 1, -1), ValueError, "seed must be >= 0, got -1"),
     ("error_sweep-seed-float", lambda t: error_sweep(_X, [0.1], 1, 0.5), TypeError,
