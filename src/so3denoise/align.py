@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import ProperSvd, _det3, proper_svd, rotate, transpose
+from .geom import ProperSvd, proper_svd, rotate, transpose
 
 # Relative threshold on the second singular value of y.T @ x below which
 # the optimal rotation is not unique (collinear/planar-degenerate input).
@@ -85,7 +85,7 @@ _MSD_FLOOR = 16 * np.finfo(float).eps
 # Newton's last l, P is within 4 eps l^4 of its exact value (at most 2.3 over 64 000 drawn
 # pairs), so l is off by 4 eps l^4 / P'(l) at most and the sum of squares by twice that, at
 # most 4 eps (|a|^2 + |b|^2) / r with r = P'(l) / l^3.  An item with r >= _QCP_SWITCH keeps
-# that within _MSD_FLOOR; the others take the SVD (l1 nears l2 as s2 + sign(det M) s3 -> 0:
+# that within _MSD_FLOOR; the others take proper_svd (l1 nears l2 as s2 + sign(det M) s3 -> 0:
 # collinear and reflected near-planar pairs).
 _QCP_SWITCH = 0.25
 _QCP_STEPS = 50  # a safety cap: Newton took at most 14 steps on the same pairs
@@ -95,17 +95,17 @@ _ROW, _COL = np.divmod(np.arange(9), 3)
 _COFACTOR_TAKES = [(_ROW + di) % 3 * 3 + (_COL + dj) % 3 for di, dj in ((1, 1), (2, 2), (1, 2), (2, 1))]
 
 
-def _spectral_rmsd(a: np.ndarray, b: np.ndarray, b_sq: float | np.ndarray) -> np.ndarray:
+def _spectral_rmsd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``aligned_rmsd`` of clouds (stacks broadcast) from the spectrum of ``M = a.T @ b``.
 
-    The mean square is (|a|^2 + |b|^2 - 2 (s1 + s2 + sign(det M) s3)) / N, with ``b_sq`` =
-    |b|^2, per cloud.  The sum l1 = s1 + s2 + sign(det M) s3 is the largest root of Horn's
-    quartic, found by Theobald's QCP: Newton from an upper bound, each item frozen once its
-    step stops descending.  Its coefficients come from ``M`` scaled by a power of two near its
-    largest entry: |M|^2 and |adj M|^2 as sums of squares, and det M from the cofactors.  Items
-    whose root nearly meets the next one (``_QCP_SWITCH``) take a ``compute_uv=False`` SVD
-    instead, which runs only when there are any.  The formula cancels: it is off
-    by about eps (|a|^2 + |b|^2) / N, so a mean square below ``_MSD_FLOOR`` times that is
+    The mean square is (|a|^2 + |b|^2 - 2 (s1 + s2 + sign(det M) s3)) / N, per cloud.  The
+    sum l1 = s1 + s2 + sign(det M) s3 is the largest root of Horn's quartic, found by
+    Theobald's QCP: Newton from an upper bound, each item frozen once its step stops
+    descending.  Its coefficients come from ``M`` scaled by a power of two near its largest
+    entry: |M|^2 and |adj M|^2 as sums of squares, and det M from the cofactors.  Items whose
+    root nearly meets the next one (``_QCP_SWITCH``) read l1 as the sum of ``proper_svd``'s
+    signed spectrum instead, which runs only when there are any.  The formula cancels: it is
+    off by about eps (|a|^2 + |b|^2) / N, so a mean square below ``_MSD_FLOOR`` times that is
     clipped to 0, and the RMSD of clouds that nearly coincide is good only to about sqrt(eps)
     times their scale.  ``aligned_rmsd`` rotates and subtracts instead.  A pair whose ``M`` is
     not finite (an overflowing prediction, say) reads NaN, without a solve.  Every step is
@@ -115,7 +115,8 @@ def _spectral_rmsd(a: np.ndarray, b: np.ndarray, b_sq: float | np.ndarray) -> np
     shape = m.shape[:-2]
     m = m.reshape(-1, 9)
     finite = np.isfinite(m).all(axis=-1)
-    m = np.where(finite[:, None], m, 0.0)  # LAPACK's SVD does not converge on inf or NaN
+    # a zeroed item takes no inf * 0 or inf - inf into its coefficients, and reads NaN below
+    m = np.where(finite[:, None], m, 0.0)
     _, e = np.frexp(np.max(np.abs(m), axis=-1))
     ms = np.ldexp(m, -e[:, None])  # entries below 1 in size: no coefficient overflows
     # np.take keeps the rows contiguous, so each sum adds its item's terms in one order
@@ -128,7 +129,7 @@ def _spectral_rmsd(a: np.ndarray, b: np.ndarray, b_sq: float | np.ndarray) -> np
     # l1^2 = f2 + 2 (s1 s2 + s1 s3 + s2 s3) <= f2 + 2 sqrt(3 i2).  P is convex above
     # sqrt(f2 / 3) <= s1 <= l1, so Newton descends onto l1 without leaving that range; a step
     # below it (past l2, which only a near-degenerate item has there) freezes the item too
-    # and sends it to the SVD.  0 / 0 at a zero M leaves its l = 0
+    # and sends it to proper_svd.  0 / 0 at a zero M leaves its l = 0
     lam = np.sqrt(f2 + 2.0 * np.sqrt(3.0 * i2))
     low = np.sqrt(f2 / 3.0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -143,14 +144,9 @@ def _spectral_rmsd(a: np.ndarray, b: np.ndarray, b_sq: float | np.ndarray) -> np
     qcp = ~moved & (dp >= _QCP_SWITCH * lam * lam * lam)
     lam = np.ldexp(lam, e)
     svd = finite & ~qcp
-    if svd.any():
-        m = m[svd].reshape(-1, 3, 3)
-        s = np.linalg.svd(m, compute_uv=False)
-        # the determinant of the matrix scaled by s1, which can neither overflow nor underflow
-        # to 0 unless s3 is negligible; 0 / tiny keeps a zero matrix's determinant 0
-        det = _det3(m / np.maximum(s[..., :1, None], np.finfo(float).tiny))
-        lam[svd] = s[..., 0] + s[..., 1] + np.copysign(s[..., 2], det)
-    total = np.sum(a * a, axis=(-2, -1)) + b_sq
+    if svd.any():  # s3 carries the sign of det M
+        lam[svd] = proper_svd(m[svd].reshape(-1, 3, 3)).s.sum(axis=-1)
+    total = np.sum(a * a, axis=(-2, -1)) + np.sum(b * b, axis=(-2, -1))
     ssd = total - 2.0 * lam.reshape(shape)  # N times the mean square
     ssd = np.where(finite.reshape(shape), np.where(ssd < _MSD_FLOOR * total, 0.0, ssd), np.nan)
     return np.sqrt(ssd / a.shape[-2])

@@ -313,10 +313,10 @@ def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
     training: RMSD of the prediction to the rotated ground truth, and
     aligned RMSD to the clean frame, from the spectrum of the clouds'
     cross-covariance alone (``align._spectral_rmsd``: Horn's quartic solved
-    by QCP, an SVD only for near-degenerate pairs; within about sqrt(eps)
-    times the clouds' scale of ``aligned_rmsd``).  Row 0 reports the pre-training
-    state (its loss is evaluated on the probe batch).  Fully
-    deterministic given the config seed.  Non-finite losses or
+    by QCP, ``proper_svd`` only for near-degenerate pairs; within about
+    sqrt(eps) times the clouds' scale of ``aligned_rmsd``).  Row 0 reports
+    the pre-training state (its loss is evaluated on the probe batch).
+    Fully deterministic given the config seed.  Non-finite losses or
     parameters, or a batch whose samples are all excluded, stop the run
     with status ``"diverged"``.  A dataset with non-finite coordinates
     raises ``ValueError``, and so does one whose coordinates are large
@@ -382,7 +382,7 @@ def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
         fill the start of ``preds``, scored in one stacked pass."""
         stack = preds[: len(rows)]
         r = np.add.reduce(rmsd(stack, np.broadcast_to(probe_truth, stack.shape)), axis=1) / _PROBE_SIZE
-        a = np.add.reduce(_spectral_rmsd(stack, probe_xs, probe_xs_sq), axis=1) / _PROBE_SIZE
+        a = np.add.reduce(_spectral_rmsd(stack, probe_xs), axis=1) / _PROBE_SIZE
         for (step, loss, n_excluded), r_j, a_j in zip(rows, r.tolist(), a.tolist()):
             metrics.append(StepMetrics(step, loss, r_j, a_j, n_excluded))
 
@@ -394,7 +394,6 @@ def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
 
     # overflow in a step or a probe score is the divergence signal, surfaced via the status
     with np.errstate(over="ignore", invalid="ignore"):
-        probe_xs_sq = np.sum(probe_xs * probe_xs, axis=(-2, -1))  # |b|^2 of every probe score
         # row 0's loss is the mean over the kept probe items: 0 / 0, so NaN, when none is kept
         preds[0] = probe_forward()[:, 0]
         diff = preds[0, probe_keep] - probe_targets[probe_keep]

@@ -41,12 +41,7 @@ _T_MAX = 3.5
 _START_STEP = 1.0 / 16.0
 _MAX_HALVINGS = 6
 
-# Above this argument np.i0 overflows; the Hankel expansion of
-# I0(z) e^-z, sum_k ((2k-1)!!)^2 / (k! (8z)^k) / sqrt(2 pi z), takes over.
-_I0E_SWITCH = 700.0
-_HANKEL_I0 = np.array([1.0, 1 / 8, 9 / 128, 225 / 3072, 11025 / 98304, 893025 / 3932160])
-
-# np.i0's Cephes Chebyshev coefficients, highest degree first: I0(z) e^-z in z / 2 - 2
+# Cephes' i0e Chebyshev coefficients, highest degree first: I0(z) e^-z in z / 2 - 2
 # for z <= 8, and I0(z) e^-z sqrt(z) in 32 / z - 2 above.
 _I0_SMALL = (
     -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16, 1.715391285555133e-15,
@@ -75,9 +70,7 @@ class NoConvergenceError(RuntimeError):
 
 
 def _chbevl(x: np.ndarray, coefficients: tuple[float, ...]) -> np.ndarray:
-    """np.i0's Chebyshev sum at ``x``: its operations in its order, in three reused buffers."""
-    if not x.size:  # np.i0 skips an empty interval too
-        return x
+    """Cephes' Chebyshev sum at ``x``: its operations in its order, in three reused buffers."""
     b0, b1, b2 = np.full_like(x, coefficients[0]), np.zeros_like(x), np.empty_like(x)
     for c in coefficients[1:]:
         b0, b1, b2 = b2, b0, b1  # b2 <- b1 <- b0, and b0 takes the spent buffer
@@ -91,18 +84,16 @@ def _chbevl(x: np.ndarray, coefficients: tuple[float, ...]) -> np.ndarray:
 def _i0e(z: np.ndarray) -> np.ndarray:
     """Exponentially scaled modified Bessel function I0(z) e^-z for z >= 0.
 
-    Up to z = 700 this is ``np.i0(z) * np.exp(-z)`` bit for bit: np.i0's Cephes
-    Chebyshev series, summed in place, each over the arguments of its own interval
-    (z <= 8 or above) only.  Above 700 only the Hankel expansion is summed.
+    Cephes' ``i0e`` (``scipy.special.i0e``) bit for bit: its two Chebyshev series, summed
+    in place, each over the arguments of its own interval (z <= 8 or above) only.  The
+    second series never forms I0(z), so it needs no other branch where I0 overflows.
     """
     out = np.empty_like(z)
-    small, large = z <= 8.0, z > _I0E_SWITCH
-    mid = ~(small | large)  # NaN goes here, as in np.i0
-    zs, zm, zl = z[small], z[mid], z[large]
-    out[small] = np.exp(zs) * _chbevl(zs / 2.0 - 2, _I0_SMALL) * np.exp(-zs)
-    out[mid] = np.exp(zm) * _chbevl(32.0 / zm - 2.0, _I0_LARGE) / np.sqrt(zm) * np.exp(-zm)
-    if zl.size:
-        out[large] = np.polynomial.polynomial.polyval(1.0 / zl, _HANKEL_I0) / np.sqrt(2.0 * np.pi * zl)
+    small = z <= 8.0
+    large = ~small  # NaN goes here, as in Cephes
+    zs, zl = z[small], z[large]
+    out[small] = _chbevl(zs / 2.0 - 2.0, _I0_SMALL)
+    out[large] = _chbevl(32.0 / zl - 2.0, _I0_LARGE) / np.sqrt(zl)
     return out
 
 

@@ -638,6 +638,30 @@ def test_cli_oracle_and_sweep_do_not_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+_NUMPY_ONLY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy, or of a scipy submodule, now raises
+from so3denoise.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_the_cli_runs_on_numpy_alone(tmp_path):
+    # the tests check _i0e and other kernels against scipy, which the package never needs
+    xyz = str(tmp_path / "t.xyz")
+    save_trajectory(synth_trajectory(8, 2, 0.1, seed=3), xyz)
+    commands = [
+        ["selftest", "--fast"],
+        ["sweep", "--input", xyz, "--frame", "0", "--sigmas", "0.1", "--n-noise", "1", "--seed", "1",
+         "--out", str(tmp_path / "s.csv")],
+        ["train", "--input", xyz, "--sigma", "0.5", "--estimator", "order2", "--steps", "2", "--seed", "1",
+         "--out-metrics", str(tmp_path / "m.csv"), "--out-model", str(tmp_path / "m.json")],
+    ]
+    for args in commands:
+        proc = _run_python("-c", _NUMPY_ONLY_SCRIPT, *args)
+        assert proc.returncode == 0, (args[0], proc.stderr)
+
+
 _OPTIMIZED_SELFTEST_SCRIPT = """
 import sys
 import so3denoise.selftest as selftest
