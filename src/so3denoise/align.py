@@ -73,8 +73,7 @@ def rmsd(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 
 def aligned_rmsd(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """RMSD after optimally rotating ``b`` onto ``a``; lower-bounds rmsd."""
-    u, _, v = _cross_svd(a, b)
-    return rmsd(a, rotate(u @ transpose(v), b))
+    return rmsd(a, rotate(kabsch(a, b).rotation, b))
 
 
 # a mean square within this many eps (|a|^2 + |b|^2) of zero is rounding, and reads 0

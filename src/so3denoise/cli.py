@@ -16,12 +16,12 @@ import sys
 import numpy as np
 
 from . import selftest as _selftest
-from .align import _cross_svd, aligned_rmsd, kabsch, rmsd
+from .align import _cross_svd, kabsch, rmsd
 from .diffusion import (DdimSchedule, TrainConfig, _walk_denoiser, ddim_sample, load_denoiser,
                         save_denoiser, train, write_metrics_csv)
 from .estimators import EstimatorKind, error_sweep, sweep_aug_anomalies, write_sweep_csv
 from .fisher import _expansion
-from .geom import _count, _positive
+from .geom import _count, _positive, rotate
 from .quadrature import _oracle_mean
 from .trajectory import Trajectory, load_trajectory, save_trajectory
 
@@ -43,11 +43,10 @@ def _frame(traj, idx: int) -> np.ndarray:
 
 def _cmd_align(args) -> int:
     traj = load_trajectory(args.trajectory)
-    a = _frame(traj, args.frame_a)
-    b = _frame(traj, args.frame_b)
-    result = kabsch(a, b)
+    a, b = _frame(traj, args.frame_a), _frame(traj, args.frame_b)
+    result = kabsch(a, b)  # aligned_rmsd's rotation, factored once
     _emit({"rotation": result.rotation.tolist(), "rmsd": rmsd(a, b),
-           "aligned_rmsd": aligned_rmsd(a, b), "degenerate": result.degenerate})
+           "aligned_rmsd": rmsd(a, rotate(result.rotation, b)), "degenerate": result.degenerate})
     return 0
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .align import _spectral_rmsd, rmsd
 from .estimators import EstimatorKind, _write_csv, estimator_target
-from .geom import _count, _noised, _positive, center, rotate
+from .geom import _cloud, _count, _noised, _positive, center, rotate
 from .trajectory import _rms_point_norm
 
 # cap on the points (steps x batch x N) a training block draws and scores at once
@@ -48,8 +48,8 @@ class MlpDenoiser:
     """2-layer tanh MLP acting on flattened point coordinates.
 
     Input features: coordinates scaled by the dataset reference scale
-    ``s_ref``, then log(sigma), then a constant 1.  The output is
-    reshaped to (N, 3) and re-centered.
+    ``s_ref`` (positive and finite), then log(sigma), then a constant 1.
+    The output is reshaped to (N, 3) and re-centered.
 
     ``theta`` holds every parameter in checkpoint order, and ``w1, b1, w2,
     b2`` are views into it, fixed when the model is built: a model with a
@@ -68,7 +68,7 @@ class MlpDenoiser:
     def __post_init__(self):
         for name in ("n_points", "hidden"):  # numpy ints and bools become plain ints
             object.__setattr__(self, name, _count(getattr(self, name), name, 1))
-        object.__setattr__(self, "s_ref", float(self.s_ref))  # a plain float, which json writes
+        object.__setattr__(self, "s_ref", float(_positive(self.s_ref, "s_ref")))  # a plain float, which json writes
         count = _param_count(self.n_points, self.hidden)
         if self.theta.shape != (count,):
             raise ValueError(f"theta has shape {self.theta.shape}; n_points={self.n_points} and "
@@ -111,9 +111,8 @@ class TrainConfig:
     def __post_init__(self):
         for name, least in (("steps", 0), ("batch", 1), ("seed", 0), ("hidden", 1)):  # made plain ints
             object.__setattr__(self, name, _count(getattr(self, name), name, least))
-        for name in ("sigma", "lr"):
-            _positive(getattr(self, name), name)
-            object.__setattr__(self, name, float(getattr(self, name)))  # a plain float, which json writes
+        for name in ("sigma", "lr"):  # made plain floats, which json writes
+            object.__setattr__(self, name, float(_positive(getattr(self, name), name)))
         object.__setattr__(self, "estimator", EstimatorKind(self.estimator))
 
 
@@ -153,8 +152,7 @@ def noise_sample(
     """
     _positive(sigma, "sigma")
     x = np.asarray(x, dtype=float)
-    q = rng.standard_normal(4)
-    return _noised(x, q, rng.standard_normal(x.shape), sigma)
+    return _noised(x, rng.standard_normal(4), rng.standard_normal(x.shape), sigma)  # the rotation's draw first
 
 
 def _features(m: MlpDenoiser, ys: np.ndarray, sigma: float) -> np.ndarray:
@@ -318,14 +316,14 @@ def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
     the pre-training state (its loss is evaluated on the probe batch).
     Fully deterministic given the config seed.  Non-finite losses or
     parameters, or a batch whose samples are all excluded, stop the run
-    with status ``"diverged"``.  A dataset with non-finite coordinates
-    raises ``ValueError``, and so does one whose coordinates are large
-    enough (about 1e154 and up) that a cross-covariance ``y.T @ x``
-    overflows, under every estimator but AUG.  So does a frame 0 of zero
-    RMS norm (all zero, say), whose norm is the input scale ``s_ref``.
-    Any later frame whose alignment is degenerate (an all-zero frame, say)
-    is trained on like any other, with a ``DegenerateAlignmentWarning``
-    under ORDER0.
+    with status ``"diverged"``.  A dataset that is not finite coordinates
+    ``(F >= 1, N >= 1, 3)`` raises ``ValueError`` naming it, and so does a
+    frame 0 whose RMS norm, the input scale ``s_ref``, is zero (all zero,
+    say) or overflows (coordinates about 1e154 and up).  Under ORDER0-2 and
+    ORACLE a drawn pair whose cross-covariance ``y.T @ x`` overflows raises
+    it too.  Any later frame whose alignment is degenerate (an all-zero
+    frame, say) is trained on like any other, with a
+    ``DegenerateAlignmentWarning`` under ORDER0.
 
     Each batch (the probe first, then one per step) is drawn with three
     generator calls: ``integers(frames, size=batch)``, which draws no bits
@@ -340,15 +338,13 @@ def train(cfg: TrainConfig, dataset: np.ndarray) -> TrainResult:
     rest of the block's draws are made but not used.  One Adam update
     per step changes the model's ``theta`` in place.
     """
-    frames = np.asarray(dataset, dtype=float)
-    if frames.ndim != 3 or frames.shape[0] < 1 or frames.shape[2] != 3:
-        raise ValueError("dataset must be a nonempty (frames, N, 3) array")
-    if not np.all(np.isfinite(frames)):
-        raise ValueError("dataset coordinates must be finite")
+    frames = _cloud(dataset, "dataset", 3)
     n_points = frames.shape[1]
-    s_ref = _rms_point_norm(frames[0])
-    if not s_ref > 0:
-        raise ValueError("frame 0 has zero RMS norm; the denoiser's input scale is taken from it")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        s_ref = _rms_point_norm(frames[0])
+    if not 0 < s_ref < np.inf:
+        what = "zero" if s_ref == 0 else "an overflowing"
+        raise ValueError(f"frame 0 has {what} RMS norm; the denoiser's input scale is taken from it")
 
     rng = np.random.default_rng(cfg.seed)
     model = MlpDenoiser.initialize(n_points, cfg.hidden, s_ref, rng)

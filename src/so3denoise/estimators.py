@@ -29,7 +29,7 @@ import numpy as np
 
 from .align import _cross_svd, _degenerate
 from .fisher import _expansion
-from .geom import _count, _noised, _positive, rotate, transpose
+from .geom import _cloud, _count, _noised, _positive, rotate, transpose
 from .quadrature import _oracle_mean
 
 SWEEP_CSV_HEADER = ["sigma", "kind", "mean_mse", "stderr", "n_samples", "n_excluded", "seed"]
@@ -149,11 +149,7 @@ def error_sweep(
     once per sweep.  An ``x`` that is not a cloud ``(N >= 1, 3)`` of finite coordinates, an
     ``n_noise`` below 1, a negative ``seed`` or either not an integer raises, naming it.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != 3:
-        raise ValueError(f"x must be a cloud of shape (N >= 1, 3), got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("x must have finite coordinates")
+    x = _cloud(x, "x", 2)
     n_noise, seed = _count(n_noise, "n_noise", 1), _count(seed, "seed", 0)
     sig = [float(s) for s in sigmas]
     if not sig:

@@ -109,14 +109,28 @@ def _count(value, name: str, least: int) -> int:
     return count
 
 
-def _positive(value, name: str, shape: tuple[int, ...] = ()) -> None:
-    """Reject levels ``value`` that are not positive and finite (NaN included), naming the
-    argument ``name``; an array of per-item levels must have the stack's leading ``shape``."""
+def _positive(value, name: str, shape: tuple[int, ...] = ()):
+    """``value``, if its levels are positive and finite; others (NaN included) raise, naming the
+    argument ``name``.  An array of per-item levels must have the stack's leading ``shape``."""
     s = np.asarray(value, dtype=float)
     if s.ndim and s.shape != shape:
         raise ValueError(f"{name} of shape {s.shape} does not match the stack's {shape}")
     if not ((0 < s) & (s < np.inf)).all():
         raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _cloud(value, name: str, ndim: int) -> np.ndarray:
+    """``value`` as finite float coordinates: one cloud ``(N >= 1, 3)`` at ``ndim`` 2, a stack ``(F >= 1, N >= 1, 3)``
+    at 3.  Anything else raises a ``ValueError`` naming ``name``, and a non-finite coordinate's index."""
+    pc = np.asarray(value, dtype=float)
+    rule = f"{name} must be finite coordinates of shape {'(F >= 1, ' if ndim == 3 else '('}N >= 1, 3), got"
+    if pc.ndim != ndim or pc.shape[-1] != 3 or not pc.size:
+        raise ValueError(f"{rule} shape {pc.shape}")
+    if not np.isfinite(pc).all():
+        at = tuple(np.argwhere(~np.isfinite(pc))[0].tolist())
+        raise ValueError(f"{rule} {pc[at]} at {at}")
+    return pc
 
 
 def sample_haar(rng: np.random.Generator, size: int | None = None) -> np.ndarray:

@@ -19,10 +19,12 @@ PASS line prints, or None where that line prints only its inputs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .align import kabsch
-from .diffusion import DdimSchedule, MlpDenoiser, ddim_sample, loss_and_grad, noise_sample
+from .diffusion import DdimSchedule, MlpDenoiser, _batch_loss_and_grad, ddim_sample, noise_sample
 from .estimators import EstimatorKind, estimator_target
 from .fisher import c1, c2, mf_mean_laplace
 from .geom import _quat_to_matrix, center, frobenius_norm_sq, proper_svd, rotate, sample_haar
@@ -180,33 +182,31 @@ def ddim_closed_forms(seed: int, n_points: int) -> None:
     np.testing.assert_array_equal(zero, np.zeros((n_points, 3)))
 
 
+def _gradient_pairs(rng: np.random.Generator):
+    """C08's ``(name, index, analytic, central difference)`` per parameter: ORDER0 targets made once."""
+    model, h = MlpDenoiser.initialize(4, 8, 1.0, rng), 1e-5
+    x = center(rng.standard_normal((4, 3)))
+    ys, xs = np.stack([noise_sample(x, 0.3, rng)[0] for _ in range(2)]), np.stack([x, x])
+    targets, keep = estimator_target(EstimatorKind.ORDER0, ys, xs, 0.3)
+    grad, scratch = (replace(model, theta=np.empty_like(model.theta)) for _ in range(2))
+    _batch_loss_and_grad(model, ys, targets, keep, 0.3, grad)
+    for name in ("w1", "b1", "w2", "b2"):
+        p, g = getattr(model, name), getattr(grad, name)
+        for idx in np.ndindex(*p.shape):
+            p[idx] += h
+            lp = _batch_loss_and_grad(model, ys, targets, keep, 0.3, scratch)[0]
+            p[idx] -= 2 * h
+            lm = _batch_loss_and_grad(model, ys, targets, keep, 0.3, scratch)[0]
+            p[idx] += h
+            yield name, idx, g[idx], (lp - lm) / (2 * h)
+
+
 def mlp_gradients(rng: np.random.Generator, n_models: int) -> int:
     """C08: every analytic parameter gradient matches central differences; returns the count."""
-    h = 1e-5
-    checked = 0
-    for _ in range(n_models):
-        model = MlpDenoiser.initialize(4, 8, 1.0, rng)
-        x = center(rng.standard_normal((4, 3)))
-        batch = []
-        for _ in range(2):
-            y, r_aug = noise_sample(x, 0.3, rng)
-            batch.append((y, x, r_aug))
-        grads = loss_and_grad(model, batch, 0.3, EstimatorKind.ORDER0).grads
-        for name, grad in grads.items():
-            p = getattr(model, name)
-            for idx in np.ndindex(*p.shape):
-                p[idx] += h
-                lp = loss_and_grad(model, batch, 0.3, EstimatorKind.ORDER0).loss
-                p[idx] -= 2 * h
-                lm = loss_and_grad(model, batch, 0.3, EstimatorKind.ORDER0).loss
-                p[idx] += h
-                fd = (lp - lm) / (2 * h)
-                _require(
-                    abs(grad[idx] - fd) <= 1e-5 * max(abs(grad[idx]), abs(fd), 1e-4),
-                    f"{name}{idx}: analytic {grad[idx]} vs fd {fd}",
-                )
-                checked += 1
-    return checked
+    pairs = [pair for _ in range(n_models) for pair in _gradient_pairs(rng)]
+    for name, idx, grad, fd in pairs:
+        _require(abs(grad - fd) <= 1e-5 * max(abs(grad), abs(fd), 1e-4), f"{name}{idx}: analytic {grad} vs fd {fd}")
+    return len(pairs)
 
 
 def _check_geom_roundtrips(fast):

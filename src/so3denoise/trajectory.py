@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geom import _count, center
+from .geom import _cloud, _count, center
 
 
 class TrajectoryFormatError(ValueError):
@@ -115,13 +115,9 @@ def save_trajectory(traj: Trajectory, path) -> None:
     Frames that are not a finite float ``(F >= 1, N >= 1, 3)`` array, or a name with a line
     break, raise ``ValueError``: ``load_trajectory`` could not read the file back.  The file is
     made before ``path`` is opened, so a save that fails leaves ``path`` as it was."""
-    frames = np.asarray(traj.frames)
-    if frames.dtype.kind != "f" or frames.ndim != 3 or frames.shape[2] != 3 or not frames.size:
-        raise ValueError(f"frames must be a float array of shape (F >= 1, N >= 1, 3), "
-                         f"got {frames.dtype} of shape {frames.shape}")
-    if not np.isfinite(frames).all():
-        f, n = np.argwhere(~np.isfinite(frames))[0, :2]
-        raise ValueError(f"frame {f} point {n} has a non-finite coordinate")
+    if np.asarray(traj.frames).dtype.kind != "f":
+        raise ValueError(f"frames must be a float array, got {np.asarray(traj.frames).dtype}")
+    frames = _cloud(traj.frames, "frames", 3)
     if "".join(traj.name.splitlines()) != traj.name:
         raise ValueError(f"name {traj.name!r} holds a line break; it must fit the comment line")
     point = "P {:.17g} {:.17g} {:.17g}\n".format

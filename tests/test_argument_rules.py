@@ -1,15 +1,18 @@
-"""Every count, seed and positive level is checked by ``geom._count`` or ``geom._positive``.
+"""Every count, seed, positive level and point cloud is checked by ``geom._count``,
+``geom._positive`` or ``geom._cloud``.
 
 One table: each row is a call with one bad argument and the exact error
-it must raise, which names the argument in one of three forms:
+it must raise, which names the argument in one of four forms:
 
 * ``TypeError: <name> must be an integer, got <value>``
 * ``ValueError: <name> must be >= <least>, got <value>``
 * ``ValueError: <name> must be positive and finite, got <value>``
+* ``ValueError: <name> must be finite coordinates of shape <shape>, got <what>``
 
-The ``error_sweep`` rows also check its cloud's shape and coordinates:
-``ValueError: x must be a cloud of shape (N >= 1, 3), got shape <shape>`` and
-``ValueError: x must have finite coordinates``.
+The cloud form covers ``error_sweep``'s ``x`` (shape ``(N >= 1, 3)``), ``train``'s
+``dataset`` and ``save_trajectory``'s ``frames`` (both ``(F >= 1, N >= 1, 3)``).
+``<what>`` is ``shape <shape>`` or the first non-finite coordinate and its index,
+``nan at (3, 1)``; each of the three callers gets the same bad clouds.
 
 A CLI row runs ``main`` in-process and expects exit status 1, no stdout
 and ``error: <message>`` on stderr.
@@ -29,7 +32,8 @@ from so3denoise.estimators import EstimatorKind, error_sweep, estimator_target
 from so3denoise.fisher import mf_mean_laplace
 from so3denoise.geom import sample_haar
 from so3denoise.quadrature import mf_mean_quadrature, oracle_conditional_denoiser
-from so3denoise.trajectory import save_trajectory, synth_trajectory
+from so3denoise.diffusion import train
+from so3denoise.trajectory import Trajectory, save_trajectory, synth_trajectory
 from so3_reference import so3_grid_global
 
 _X = synth_trajectory(8, 1, 0.0, seed=11).frames[0]
@@ -74,8 +78,30 @@ def _ddim(n_points):
 _TRAIN = ["train", "--input", "{data}", "--sigma", "0.5", "--estimator", "order0", "--steps", "1",
           "--out-metrics", "{out}", "--out-model", "{out}"]
 
+# the same bad clouds for each caller, (id, value, what the message says it got) for a caller
+# of one cloud and then for one of a stack: a point, an empty cloud, a planar one, the wrong
+# number of axes, a NaN and an inf
+_BAD_CLOUDS = [
+    (("point", np.zeros(3), "shape (3,)"), ("point", np.zeros(3), "shape (3,)")),
+    (("empty", np.zeros((0, 3)), "shape (0, 3)"), ("empty", np.zeros((2, 0, 3)), "shape (2, 0, 3)")),
+    (("planar", np.zeros((8, 2)), "shape (8, 2)"), ("planar", np.zeros((1, 8, 2)), "shape (1, 8, 2)")),
+    (("stack", np.stack([_X, _X]), "shape (2, 8, 3)"), ("cloud", _X, "shape (8, 3)")),
+    (("nan", _with_point(np.nan), "nan at (3, 1)"), ("nan", _with_point(np.nan)[None], "nan at (0, 3, 1)")),
+    (("inf", _with_point(np.inf), "inf at (3, 1)"), ("inf", _with_point(np.inf)[None], "inf at (0, 3, 1)")),
+]
+_STACK = "(F >= 1, N >= 1, 3)"
+_CLOUD_ROWS = [
+    *((f"error_sweep-x-{row}", lambda t, x=x: error_sweep(x, [0.1], 1, 0), ValueError,
+       f"x must be finite coordinates of shape (N >= 1, 3), got {got}") for (row, x, got), _ in _BAD_CLOUDS),
+    *((f"train-dataset-{row}", lambda t, v=v: train(_config(), v), ValueError,
+       f"dataset must be finite coordinates of shape {_STACK}, got {got}") for _, (row, v, got) in _BAD_CLOUDS),
+    *((f"save_trajectory-frames-{row}", lambda t, v=v: save_trajectory(Trajectory(v, "t"), t / "o"), ValueError,
+       f"frames must be finite coordinates of shape {_STACK}, got {got}") for _, (row, v, got) in _BAD_CLOUDS),
+]
+
 # (id, call on tmp_path, error, message)
 _ROWS = [
+    *_CLOUD_ROWS,
     ("TrainConfig-steps", lambda t: _config(steps=-1), ValueError, "steps must be >= 0, got -1"),
     ("TrainConfig-steps-float", lambda t: _config(steps=2.5), TypeError, "steps must be an integer, got 2.5"),
     ("TrainConfig-batch", lambda t: _config(batch=0), ValueError, "batch must be >= 1, got 0"),
@@ -92,6 +118,8 @@ _ROWS = [
      "n_points must be an integer, got 8.0"),
     ("MlpDenoiser-hidden", lambda t: MlpDenoiser(np.zeros(48), 0, 8, 1.0), ValueError,
      "hidden must be >= 1, got 0"),
+    *((f"MlpDenoiser-s_ref-{s_ref}", lambda t, s_ref=s_ref: MlpDenoiser(np.zeros(228), 4, 8, s_ref), ValueError,
+       f"s_ref must be positive and finite, got {s_ref}") for s_ref in (0.0, -1.0, np.nan, np.inf)),
     ("MlpDenoiser.initialize-n_points", lambda t: MlpDenoiser.initialize(0, 4, 1.0, np.random.default_rng(0)),
      ValueError, "n_points must be >= 1, got 0"),
     ("MlpDenoiser.initialize-hidden", lambda t: MlpDenoiser.initialize(8, -1, 1.0, np.random.default_rng(0)),
@@ -99,18 +127,6 @@ _ROWS = [
     ("MlpDenoiser.initialize-hidden-float",
      lambda t: MlpDenoiser.initialize(8, 2.5, 1.0, np.random.default_rng(0)), TypeError,
      "hidden must be an integer, got 2.5"),
-    ("error_sweep-x-point", lambda t: error_sweep(np.zeros(3), [0.1], 1, 0), ValueError,
-     "x must be a cloud of shape (N >= 1, 3), got shape (3,)"),
-    ("error_sweep-x-empty", lambda t: error_sweep(np.zeros((0, 3)), [0.1], 1, 0), ValueError,
-     "x must be a cloud of shape (N >= 1, 3), got shape (0, 3)"),
-    ("error_sweep-x-planar", lambda t: error_sweep(np.zeros((8, 2)), [0.1], 1, 0), ValueError,
-     "x must be a cloud of shape (N >= 1, 3), got shape (8, 2)"),
-    ("error_sweep-x-stack", lambda t: error_sweep(np.stack([_X, _X]), [0.1], 1, 0), ValueError,
-     "x must be a cloud of shape (N >= 1, 3), got shape (2, 8, 3)"),
-    ("error_sweep-x-nan", lambda t: error_sweep(_with_point(np.nan), [0.1], 1, 0), ValueError,
-     "x must have finite coordinates"),
-    ("error_sweep-x-inf", lambda t: error_sweep(_with_point(np.inf), [0.1], 1, 0), ValueError,
-     "x must have finite coordinates"),
     ("error_sweep-n_noise", lambda t: error_sweep(_X, [0.1], 0, 0), ValueError, "n_noise must be >= 1, got 0"),
     ("error_sweep-seed", lambda t: error_sweep(_X, [0.1], 1, -1), ValueError, "seed must be >= 0, got -1"),
     ("error_sweep-seed-float", lambda t: error_sweep(_X, [0.1], 1, 0.5), TypeError,

@@ -340,6 +340,32 @@ def test_train_on_a_frame_0_of_zero_rms_norm_exits_1(capsys, tmp_path, scale):
     assert not metrics.exists() and not model.exists()
 
 
+@pytest.mark.parametrize("estimator", ["aug", "order0", "order2"])
+def test_train_on_a_frame_0_whose_rms_norm_overflows_exits_1(capsys, tmp_path, estimator):
+    # at 1e200 the squares overflow: s_ref would be inf, which no checkpoint may hold
+    traj = synth_trajectory(8, 4, 0.1, seed=3)
+    traj.frames[:] *= 1e200
+    data, metrics, model = tmp_path / "t.xyz", tmp_path / "m.csv", tmp_path / "m.bin"
+    save_trajectory(traj, data)
+    code = main(["train", "--input", str(data), "--sigma", "0.5", "--estimator", estimator,
+                 "--steps", "5", "--out-metrics", str(metrics), "--out-model", str(model)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: frame 0 has an overflowing RMS norm; "
+                            "the denoiser's input scale is taken from it\n")
+    assert not metrics.exists() and not model.exists()
+
+
+def test_align_factors_its_frames_once(monkeypatch, capsys, traj_path):
+    # the aligned RMSD reads kabsch's rotation instead of factoring a.T @ b again
+    calls = []
+    monkeypatch.setattr(align, "proper_svd", lambda m: calls.append(m) or proper_svd(m))
+    code, payload = run_json(capsys, ["align", traj_path, "--frame-a", "0", "--frame-b", "1"])
+    assert code == 0 and len(calls) == 1
+    a, b = load_trajectory(traj_path).frames[:2]
+    assert payload["aligned_rmsd"] == align.aligned_rmsd(a, b)
+
+
 def test_unknown_flag_exits_2(traj_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["align", traj_path, "--frame-a", "0", "--frame-b", "1", "--bogus"])

@@ -1,4 +1,5 @@
 import csv
+import re
 from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from so3denoise.estimators import EstimatorKind, estimator_target
 from so3denoise.fisher import ExpansionSingularError
 from so3denoise.geom import _noised, center, frobenius_norm_sq, rotate, sample_haar
 from so3denoise.quadrature import NoConvergenceError, oracle_conditional_denoiser
+from so3denoise.selftest import _gradient_pairs
 from so3denoise.trajectory import synth_trajectory
 
 
@@ -130,6 +132,29 @@ def test_loss_and_grad_matches_finite_differences():
                 p[idx] += h
                 fd = (lp - lm) / (2 * h)
                 assert abs(grad[idx] - fd) <= 1e-5 * max(abs(grad[idx]), abs(fd), 1e-4)
+
+
+def test_c08_pairs_are_bit_for_bit_those_through_loss_and_grad():
+    # C08 makes its ORDER0 targets once and takes every loss from train's loss body; each
+    # (analytic, central-difference) pair is still loss_and_grad's, bit for bit
+    got = list(_gradient_pairs(np.random.default_rng(16)))
+    rng = np.random.default_rng(16)  # the draws C08 makes for one model
+    m = MlpDenoiser.initialize(4, 8, 1.0, rng)
+    x = center(rng.standard_normal((4, 3)))
+    batch = [(y, x, r_aug) for y, r_aug in (noise_sample(x, 0.3, rng) for _ in range(2))]
+    want, h = [], 1e-5
+    for name, grad in loss_and_grad(m, batch, 0.3, EstimatorKind.ORDER0).grads.items():
+        p = getattr(m, name)
+        for idx in np.ndindex(*p.shape):
+            p[idx] += h
+            lp = loss_and_grad(m, batch, 0.3, EstimatorKind.ORDER0).loss
+            p[idx] -= 2 * h
+            lm = loss_and_grad(m, batch, 0.3, EstimatorKind.ORDER0).loss
+            p[idx] += h
+            want.append((name, idx, grad[idx], (lp - lm) / (2 * h)))
+    assert len(got) == len(want) == m.theta.size
+    bits = [(name, idx, float(g).hex(), float(fd).hex()) for name, idx, g, fd in got]
+    assert bits == [(name, idx, float(g).hex(), float(fd).hex()) for name, idx, g, fd in want]
 
 
 def test_loss_and_grad_calls_share_no_gradient_memory():
@@ -262,6 +287,9 @@ def _model():
     return MlpDenoiser.initialize(8, 4, 1.0, np.random.default_rng(0))
 
 
+# the start of every message of ``train``'s refusal of a dataset, as a pattern
+_DATASET_RULE = re.escape("dataset must be finite coordinates of shape (F >= 1, N >= 1, 3), ")
+
 # a collinear cloud: its order-1/2 targets are expansion-singular
 _LINE = np.outer(np.linspace(-1.0, 1.0, 8), [1.0, 0.0, 0.0])
 
@@ -277,9 +305,9 @@ _LINE = np.outer(np.linspace(-1.0, 1.0, 8), [1.0, 0.0, 0.0])
          "sigma must be positive and finite, got inf"),
         (lambda x: loss_and_grad(MlpDenoiser.initialize(8, 4, 1.0, np.random.default_rng(0)), [], 0.5,
                                  EstimatorKind.AUG), "batch must be nonempty"),
-        (lambda x: train(TrainConfig(0.5, "aug", 1), x), "dataset must be a nonempty"),
-        (lambda x: train(TrainConfig(0.5, "aug", 1), x[None, :, :2]), "dataset must be a nonempty"),
-        (lambda x: train(TrainConfig(0.5, "aug", 1), np.empty((0, *x.shape))), "dataset must be a nonempty"),
+        (lambda x: train(TrainConfig(0.5, "aug", 1), x), _DATASET_RULE + "got shape"),
+        (lambda x: train(TrainConfig(0.5, "aug", 1), x[None, :, :2]), _DATASET_RULE + "got shape"),
+        (lambda x: train(TrainConfig(0.5, "aug", 1), np.empty((0, *x.shape))), _DATASET_RULE + "got shape"),
         (lambda x: mlp_forward(_model(), x, 0.0), "sigma must be positive and finite, got 0.0"),
         (lambda x: mlp_forward(_model(), x, -0.1), "sigma must be positive and finite, got -0.1"),
         (lambda x: mlp_forward(_model(), x, float("nan")), "sigma must be positive and finite, got nan"),

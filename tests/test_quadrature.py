@@ -236,8 +236,8 @@ def test_i0e_matches_both_forms_bit_for_bit(arguments):
 
 
 def test_the_oracle_does_not_call_np_i0(monkeypatch):
-    # np.i0 sums its series on new temporaries, and over arguments that the Hankel
-    # branch would overwrite: the oracle stays on the in-place series
+    # np.i0 sums its series on new temporaries and scales them by exp(z): the oracle
+    # sums Cephes' i0e series in place, each over its own arguments
     def refuse(z):
         raise AssertionError("np.i0 was called")
 
@@ -247,7 +247,8 @@ def test_the_oracle_does_not_call_np_i0(monkeypatch):
     x /= np.sqrt(np.mean(np.sum(x * x, axis=1)))
     records = error_sweep(x, [0.01, 0.1, 0.2, 0.3, 0.5, 1.0], 1, 5201)
     assert len(records) == 24 and all(r.n_excluded == 0 for r in records)
-    # a diffuse, a moderate and a sharp item: arguments in all three branches
+    # a diffuse, a moderate and a sharp item: arguments in both Cephes intervals, z <= 8
+    # and above, past where I0 itself would overflow
     mean, converged = mf_mean_quadrature(np.stack([np.diag([2.0, 1.0, 0.5]), np.diag([300.0, 200.0, 100.0]),
                                                    np.diag([3e4, 2e4, 1e4])]))
     assert converged.all() and np.isfinite(mean).all()

@@ -139,17 +139,17 @@ def test_a_save_that_fails_keeps_the_existing_file(tmp_path, frames, name, error
 
 
 @pytest.mark.parametrize("frames, name, message", [
-    (np.zeros((1, 4, 4)), "t", "frames must be a float array of shape (F >= 1, N >= 1, 3), "
-                                "got float64 of shape (1, 4, 4)"),
-    (np.zeros((4, 3)), "t", "frames must be a float array of shape (F >= 1, N >= 1, 3), "
-                            "got float64 of shape (4, 3)"),
-    (np.zeros((0, 4, 3)), "t", "frames must be a float array of shape (F >= 1, N >= 1, 3), "
-                               "got float64 of shape (0, 4, 3)"),
-    (np.zeros((2, 0, 3)), "t", "frames must be a float array of shape (F >= 1, N >= 1, 3), "
-                               "got float64 of shape (2, 0, 3)"),
-    (np.zeros((1, 4, 3), dtype=np.int64), "t", "frames must be a float array of shape (F >= 1, N >= 1, 3), "
-                                          "got int64 of shape (1, 4, 3)"),
-    (np.array([[[0.0, 0.0, 0.0]], [[1.0, np.inf, 0.0]]]), "t", "frame 1 point 0 has a non-finite coordinate"),
+    (np.zeros((1, 4, 4)), "t", "frames must be finite coordinates of shape (F >= 1, N >= 1, 3), "
+                                "got shape (1, 4, 4)"),
+    (np.zeros((4, 3)), "t", "frames must be finite coordinates of shape (F >= 1, N >= 1, 3), got shape (4, 3)"),
+    (np.zeros((0, 4, 3)), "t", "frames must be finite coordinates of shape (F >= 1, N >= 1, 3), "
+                               "got shape (0, 4, 3)"),
+    (np.zeros((2, 0, 3)), "t", "frames must be finite coordinates of shape (F >= 1, N >= 1, 3), "
+                               "got shape (2, 0, 3)"),
+    (np.zeros((1, 4, 3), dtype=np.int64), "t", "frames must be a float array, got int64"),
+    # the first non-finite coordinate, by its (frame, point, axis) index
+    (np.array([[[0.0, 0.0, 0.0]], [[1.0, np.inf, 0.0]]]), "t",
+     "frames must be finite coordinates of shape (F >= 1, N >= 1, 3), got inf at (1, 0, 1)"),
     (np.zeros((1, 4, 3)), "a\nb", "name 'a\\nb' holds a line break; it must fit the comment line"),
     (np.zeros((1, 4, 3)), "a\u2028", "name 'a\\u2028' holds a line break; it must fit the comment line"),
 ], ids=["four-coordinates", "2-d", "no-frames", "no-points", "integer", "non-finite", "newline",
